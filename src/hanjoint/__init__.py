@@ -13,6 +13,7 @@ from .ctc import (
     LossResult,
     MultiTaskLossConfig,
     ctc_log_prob,
+    ctc_log_probs,
     ctc_loss_and_grad,
     greedy_decode,
     label_feasible,
@@ -63,6 +64,7 @@ __all__ = [
     "cer",
     "compose_jamo",
     "ctc_log_prob",
+    "ctc_log_probs",
     "ctc_loss_and_grad",
     "decompose_syllable",
     "decompose_text",

@@ -1,15 +1,18 @@
-"""Hot dynamic-programming kernels with two interchangeable backends.
+"""Dynamic-programming kernels over the blank-extended CTC state lattice.
 
-The forward/backward recurrences over the blank-extended CTC state lattice
-dominate runtime (every joint-decoder candidate is rescored with a full
-forward pass), so they are compiled with numba's ``@njit`` when available.
-A pure-numpy implementation of the same recurrences, vectorized over the
-state axis, serves as the fallback and as a cross-check.
+Scoring a label only needs the last row of the forward recurrence, so
+:func:`ctc_alpha_last_batch` runs it for a whole batch of labels at once,
+one vectorized step over an (N, S_max) state array per frame.  Joint
+decoding scores every candidate of one lattice through that one call.
 
-Backend selection: the ``HANJOINT_NUMBA`` environment variable.  ``0`` /
+The gradient needs every alpha and beta row.  Those two recurrences,
+:func:`ctc_alpha` and :func:`ctc_beta`, have two interchangeable backends:
+numba's ``@njit`` when available, and a pure-numpy implementation
+vectorized over the state axis that serves as the fallback and as a
+cross-check.  The ``HANJOINT_NUMBA`` environment variable selects: ``0`` /
 ``off`` / ``numpy`` forces the numpy path; anything else (default) uses
 numba when it imports.  Both backends agree to float rounding (~1 ulp per
-log-add); see benchmarks/bench_kernels.py for the speed comparison.
+log-add).
 
 Conventions: ``lp_ext[t, s]`` is the frame-t log-probability of extended
 state s (blank, y1, blank, ..., yL, blank); ``skip[s]`` is True where the
@@ -61,6 +64,29 @@ def ctc_alpha_numpy(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
         jump[:2] = NEG_INF
         jump[2:] = np.where(skip[2:], prev[:-2], NEG_INF)
         alpha[t] = _logsumexp3(prev, step, jump) + lp_ext[t]
+    return alpha
+
+
+def ctc_alpha_last_batch(scores: np.ndarray, ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Last forward row of every label in a padded batch.
+
+    ``scores`` is the F x V lattice (F >= 1); row n of ``ext`` / ``skip`` is
+    a label's extended states and skip mask, padded on the right to the
+    batch's longest.  Each real state sees the same arithmetic as in
+    :func:`ctc_alpha_numpy`, so it matches that kernel's last row exactly.
+    Padded states need no masking: transitions only move to equal or
+    higher states, so they never feed a label's real states.  Emissions are
+    gathered one frame at a time, never as an F x N x S_max tensor.
+    """
+    alpha = np.full(ext.shape, NEG_INF)
+    alpha[:, :2] = scores[0][ext[:, :2]]
+    step = np.full(ext.shape, NEG_INF)
+    jump = np.full(ext.shape, NEG_INF)
+    can_jump = skip[:, 2:]
+    for t in range(1, scores.shape[0]):
+        step[:, 1:] = alpha[:, :-1]
+        np.copyto(jump[:, 2:], alpha[:, :-2], where=can_jump)
+        alpha = _logsumexp3(alpha, step, jump) + scores[t][ext]
     return alpha
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, hangul, selfcheck
 from .beam import BeamConfig, prefix_beam_search
 from .ctc import MultiTaskLossConfig, greedy_decode, multitask_loss
-from .errors import HanjointError, InfeasibleLabel, OutOfVocabulary, UnmatchedId
+from .errors import EmptyReference, HanjointError, InfeasibleLabel, OutOfVocabulary, UnmatchedId
 from .joint import JointConfig, compose_hypothesis, joint_decode
 from .lattice_io import (
     EmissionLattice,
@@ -42,7 +42,7 @@ from .lattice_io import (
     save_lattice,
     tokens_to_text,
 )
-from .metrics import EvalReport, levenshtein
+from .metrics import EvalReport, UtteranceEval, levenshtein
 from .synth import SynthSpec, gen_oov_corpus
 
 SYLLABLE_POOL = "가나다라마바사아자차카타파하간존물꿈별빛손길말글강산바람닭흙값몫앉"
@@ -102,23 +102,30 @@ def _read_refs(path: Path) -> dict[str, str]:
     return refs
 
 
-def _read_hyps(path: Path) -> dict[str, str]:
-    """TSV id<TAB>text, or decode JSONL (top-1 hypothesis per record)."""
+def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """TSV id<TAB>text, or decode JSONL (top-1 hypothesis per record).
+
+    Returns the hypotheses and, separately, the error of every decode
+    record that failed."""
     text = path.read_text(encoding="utf-8")
     hyps: dict[str, str] = {}
+    failed: dict[str, str] = {}
     for line in text.splitlines():
         if not line:
             continue
         if line.startswith("{"):
             record = json.loads(line)
-            if "error" in record or "id" not in record:
+            if "id" not in record:
+                continue
+            if "error" in record:
+                failed[record["id"]] = record["error"]
                 continue
             hypotheses = record.get("hypotheses", [])
             hyps[record["id"]] = hypotheses[0]["text"] if hypotheses else ""
         else:
             utt_id, _, hyp = line.partition("\t")
             hyps[utt_id] = hyp
-    return hyps
+    return hyps, failed
 
 
 @dataclass
@@ -277,55 +284,59 @@ def cmd_decode(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+def _edit_record(summary) -> dict:
+    return {"rate": summary.rate, "sub": summary.substitutions, "ins": summary.insertions,
+            "del": summary.deletions, "ref_len": summary.reference_length}
+
+
 def cmd_eval(args) -> int:
     refs = _read_refs(Path(args.refs))
-    hyps = _read_hyps(Path(args.hyps))
+    hyps, failed = _read_hyps(Path(args.hyps))
     for utt_id in refs:
-        if utt_id not in hyps:
+        if utt_id not in hyps and utt_id not in failed:
             raise UnmatchedId(utt_id)
-    for utt_id in hyps:
+    for utt_id in (*hyps, *failed):
         if utt_id not in refs:
             raise UnmatchedId(utt_id)
 
-    report = EvalReport.from_pairs([(uid, refs[uid], hyps[uid]) for uid in refs])
-    lines = []
-    for u in report.utterances:
-        lines.append(
-            _dump(
-                {
-                    "id": u.id,
-                    "cer": {"rate": u.cer.rate, "sub": u.cer.substitutions,
-                            "ins": u.cer.insertions, "del": u.cer.deletions,
-                            "ref_len": u.cer.reference_length},
-                    "wer": {"rate": u.wer.rate, "sub": u.wer.substitutions,
-                            "ins": u.wer.insertions, "del": u.wer.deletions,
-                            "ref_len": u.wer.reference_length},
-                    "swer": {"rate": u.swer.rate, "sub": u.swer.substitutions,
-                             "ins": u.swer.insertions, "del": u.swer.deletions,
-                             "ref_len": u.swer.reference_length},
-                }
-            )
-        )
-    lines.append(
-        _dump(
+    records = []
+    scored = []
+    for utt_id, reference in refs.items():
+        if utt_id in failed:
+            records.append({"id": utt_id, "error": f"decode failed: {failed[utt_id]}"})
+            continue
+        try:
+            u = UtteranceEval.score(utt_id, reference, hyps[utt_id])
+        except EmptyReference as exc:
+            records.append({"id": utt_id, "error": str(exc)})
+            continue
+        scored.append(u)
+        records.append({"id": u.id, "cer": _edit_record(u.cer), "wer": _edit_record(u.wer),
+                        "swer": _edit_record(u.swer)})
+    if scored:
+        report = EvalReport(scored)
+        records.append(
             {
                 "corpus": {
                     "cer": report.corpus_cer,
                     "wer": report.corpus_wer,
                     "swer": report.corpus_swer,
-                    "utterances": len(report.utterances),
+                    "utterances": len(scored),
                 }
             }
         )
-    )
+        print(
+            f"{'':12s} {'CER':>8s} {'WER':>8s} {'sWER':>8s}\n"
+            f"{'corpus':12s} {100 * report.corpus_cer:7.3f}% {100 * report.corpus_wer:7.3f}% "
+            f"{100 * report.corpus_swer:7.3f}%",
+            file=sys.stderr,
+        )
     manifest = RunManifest("eval", {}, [args.refs, args.hyps], __version__, None)
-    _emit(lines, args.out, manifest)
-    print(
-        f"{'':12s} {'CER':>8s} {'WER':>8s} {'sWER':>8s}\n"
-        f"{'corpus':12s} {100 * report.corpus_cer:7.3f}% {100 * report.corpus_wer:7.3f}% "
-        f"{100 * report.corpus_swer:7.3f}%",
-        file=sys.stderr,
-    )
+    _emit([_dump(r) for r in records], args.out, manifest)
+    failed_count = len(refs) - len(scored)
+    if failed_count:
+        print(f"{failed_count}/{len(refs)} utterances failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -472,7 +483,7 @@ def cmd_oov_report(args) -> int:
 
     recovery = {}
     for decode_path in args.decodes:
-        hyps = _read_hyps(Path(decode_path))
+        hyps, _ = _read_hyps(Path(decode_path))
         mode = None
         for line in Path(decode_path).read_text(encoding="utf-8").splitlines():
             if line.startswith("{"):

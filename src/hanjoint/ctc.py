@@ -85,25 +85,46 @@ def _require_normalized(lattice: EmissionLattice) -> None:
         raise HanjointError("lattice must be normalized (log-probabilities)")
 
 
-def ctc_log_prob(lattice: EmissionLattice, label: Sequence[int]) -> float:
-    """log p(label | lattice), summed over all alignments.
+def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> list[float]:
+    """log p(label | lattice) of every label, in order, summed over all
+    alignments, from one forward pass over the whole batch.
 
-    Returns -inf for labels that do not fit in the frame count; use
-    :func:`label_feasible` to distinguish that case from underflow.
+    Every label is checked before any scoring starts.  Labels that do not
+    fit in the frame count score -inf; use :func:`label_feasible` to
+    distinguish that case from underflow.
     """
     _require_normalized(lattice)
-    _check_label(label, lattice.vocab_size)
+    for label in labels:
+        _check_label(label, lattice.vocab_size)
     F = lattice.frames
     if F == 0:
-        return 0.0 if len(label) == 0 else NEG_INF
-    if not label_feasible(label, F):
-        return NEG_INF
-    ext, skip = extended_states(label)
-    alpha = _kernels.ctc_alpha(lattice.scores[:, ext], skip)
-    total = alpha[-1, -1]
-    if alpha.shape[1] > 1:
-        total = np.logaddexp(total, alpha[-1, -2])
-    return float(total)
+        return [0.0 if len(label) == 0 else NEG_INF for label in labels]
+    totals = [NEG_INF] * len(labels)
+    live = [i for i, label in enumerate(labels) if label_feasible(label, F)]
+    if not live:
+        return totals
+
+    lengths = np.array([len(labels[i]) for i in live])
+    ext = np.full((len(live), 2 * lengths.max() + 1), BLANK_INDEX, dtype=np.int64)
+    for row, i in enumerate(live):
+        ext[row, 1 : 2 * lengths[row] : 2] = labels[i]
+    skip = np.zeros(ext.shape, dtype=np.bool_)
+    # as in extended_states; past a label's end it only reaches padded states
+    skip[:, 3::2] = ext[:, 3::2] != ext[:, 1:-2:2]
+    last = _kernels.ctc_alpha_last_batch(lattice.scores, ext, skip)
+
+    rows = np.arange(len(live))
+    final = last[rows, 2 * lengths]
+    nonempty = lengths > 0
+    final[nonempty] = np.logaddexp(final[nonempty], last[rows[nonempty], 2 * lengths[nonempty] - 1])
+    for i, total in zip(live, final.tolist()):
+        totals[i] = total
+    return totals
+
+
+def ctc_log_prob(lattice: EmissionLattice, label: Sequence[int]) -> float:
+    """log p(label | lattice): :func:`ctc_log_probs` of one label."""
+    return ctc_log_probs(lattice, [label])[0]
 
 
 def ctc_loss_and_grad(logits: EmissionLattice, label: Sequence[int]) -> HeadLoss:

@@ -2,8 +2,8 @@
 
 Both beams are searched independently, grapheme hypotheses are composed
 into syllable text (non-composable ones are dropped and counted), the union
-is deduplicated by text, and every candidate is rescored with a full CTC
-forward pass on each lattice.  The joint score mixes the two posteriors in
+is deduplicated by text, and the whole union is rescored with one batched
+CTC forward pass per lattice.  The joint score mixes the two posteriors in
 the probability domain:
 
     score(Y) = log( gamma * p_syll(Y) + (1 - gamma) * p_grap(Y) )
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .beam import BeamConfig, Hypothesis, prefix_beam_search
-from .ctc import ctc_log_prob
+from .ctc import ctc_log_probs
 from .errors import BothBeamsEmpty, OutOfVocabulary
 from .hangul import try_compose
 from .lattice_io import EmissionLattice, Vocabulary, text_to_tokens, tokens_to_text, tokens_to_units
@@ -59,12 +59,34 @@ class JointDecodeResult:
         return self.candidates[0]
 
 
-def _head_log_prob(text: str, lattice: EmissionLattice, vocab: Vocabulary, level: str) -> float | None:
-    try:
-        tokens = text_to_tokens(text, vocab, level)
-    except OutOfVocabulary:
-        return None
-    return ctc_log_prob(lattice, tokens)
+def _rescore(
+    candidates: list[tuple[str, frozenset[str]]],
+    syll_lattice: EmissionLattice,
+    grap_lattice: EmissionLattice,
+    syll_vocab: Vocabulary,
+    grap_vocab: Vocabulary,
+    gamma: float,
+) -> list[ScoredCandidate]:
+    """Score (text, provenance) pairs against both lattices, with one
+    batched forward pass per lattice; a text out of vocabulary at a level
+    gets None there."""
+    heads = []
+    for lattice, vocab, level in (
+        (syll_lattice, syll_vocab, "syllable"),
+        (grap_lattice, grap_vocab, "grapheme"),
+    ):
+        labels: list[list[int] | None] = []
+        for text, _ in candidates:
+            try:
+                labels.append(text_to_tokens(text, vocab, level))
+            except OutOfVocabulary:
+                labels.append(None)
+        scores = iter(ctc_log_probs(lattice, [label for label in labels if label is not None]))
+        heads.append([None if label is None else next(scores) for label in labels])
+    return [
+        ScoredCandidate(text, syll_lp, grap_lp, combine_heads(syll_lp, grap_lp, gamma), provenance)
+        for (text, provenance), syll_lp, grap_lp in zip(candidates, *heads)
+    ]
 
 
 def combine_heads(syll_log_prob: float | None, grap_log_prob: float | None, gamma: float) -> float:
@@ -93,9 +115,7 @@ def rescore_candidate(
     provenance: frozenset[str] = frozenset(),
 ) -> ScoredCandidate:
     """Score one text against both lattices, independent of any beam."""
-    syll_lp = _head_log_prob(text, syll_lattice, syll_vocab, "syllable")
-    grap_lp = _head_log_prob(text, grap_lattice, grap_vocab, "grapheme")
-    return ScoredCandidate(text, syll_lp, grap_lp, combine_heads(syll_lp, grap_lp, gamma), provenance)
+    return _rescore([(text, provenance)], syll_lattice, grap_lattice, syll_vocab, grap_vocab, gamma)[0]
 
 
 def compose_hypothesis(hyp: Hypothesis, grap_vocab: Vocabulary) -> str | None:
@@ -133,13 +153,10 @@ def joint_decode(
     if not provenance:
         raise BothBeamsEmpty("no candidate survived either beam")
 
-    candidates = [
-        rescore_candidate(
-            text, syll_lattice, grap_lattice, syll_vocab, grap_vocab,
-            config.gamma, frozenset(sources),
-        )
-        for text, sources in provenance.items()
-    ]
+    candidates = _rescore(
+        [(text, frozenset(sources)) for text, sources in provenance.items()],
+        syll_lattice, grap_lattice, syll_vocab, grap_vocab, config.gamma,
+    )
     candidates.sort(key=lambda c: (-c.joint_score, c.text))
     return JointDecodeResult(candidates, dropped)
 

@@ -138,6 +138,11 @@ class UtteranceEval:
     wer: EditSummary
     swer: EditSummary
 
+    @classmethod
+    def score(cls, uid: str, reference: str, hypothesis: str) -> "UtteranceEval":
+        """Raises :class:`EmptyReference` when the reference has nothing to score."""
+        return cls(uid, cer(reference, hypothesis), wer(reference, hypothesis), swer(reference, hypothesis))
+
 
 @dataclass
 class EvalReport:
@@ -165,9 +170,4 @@ class EvalReport:
     @classmethod
     def from_pairs(cls, items: list[tuple[str, str, str]]) -> "EvalReport":
         """items: (utterance id, reference, hypothesis)."""
-        return cls(
-            [
-                UtteranceEval(uid, cer(ref, hyp), wer(ref, hyp), swer(ref, hyp))
-                for uid, ref, hyp in items
-            ]
-        )
+        return cls([UtteranceEval.score(uid, ref, hyp) for uid, ref, hyp in items])

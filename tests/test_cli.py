@@ -161,6 +161,39 @@ def test_eval_unmatched_id(corpus, tmp_path):
     assert main(["eval", "--refs", str(corpus / "refs.tsv"), "--hyps", str(hyps_path)]) == 2
 
 
+def test_eval_empty_reference_is_a_per_utterance_error(corpus, tmp_path):
+    refs_path = tmp_path / "refs.tsv"
+    refs_path.write_text((corpus / "refs.tsv").read_text(encoding="utf-8") + "blank\t \n",
+                         encoding="utf-8")
+    hyps_path = tmp_path / "hyps.tsv"
+    hyps_path.write_text((corpus / "refs.tsv").read_text(encoding="utf-8") + "blank\t가\n",
+                         encoding="utf-8")
+    out = tmp_path / "eval.jsonl"
+    code = main(["eval", "--refs", str(refs_path), "--hyps", str(hyps_path), "--out", str(out)])
+    assert code == 1
+    records = read_records(out)
+    errors = [r for r in records if "error" in r]
+    assert errors == [{"id": "blank", "error": "reference has no characters"}]
+    assert records[-1]["corpus"] == {"cer": 0.0, "wer": 0.0, "swer": 0.0, "utterances": len(TEXTS)}
+
+
+def test_eval_failed_decode_record_is_a_per_utterance_error(corpus, tmp_path):
+    (corpus / "utt0001.grap.lat").unlink()
+    decoded = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
+                 "--out", str(decoded)]) == 1
+    out = tmp_path / "eval.jsonl"
+    code = main(["eval", "--refs", str(corpus / "refs.tsv"), "--hyps", str(decoded),
+                 "--out", str(out)])
+    assert code == 1
+    records = read_records(out)
+    by_id = {r["id"]: r for r in records if "id" in r}
+    assert set(by_id) == {f"utt{k:04d}" for k in range(len(TEXTS))}
+    assert by_id["utt0001"]["error"].startswith("decode failed: ")
+    assert all("cer" in r for uid, r in by_id.items() if uid != "utt0001")
+    assert records[-1]["corpus"]["utterances"] == len(TEXTS) - 1
+
+
 def test_loss_records(corpus, tmp_path):
     out = tmp_path / "loss.jsonl"
     # the holdout syllable is OOV for the syllable head: per-utterance errors

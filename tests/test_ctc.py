@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hanjoint import _kernels
 from hanjoint.ctc import (
     MultiTaskLossConfig,
     collapse,
     ctc_log_prob,
+    ctc_log_probs,
     ctc_loss_and_grad,
+    extended_states,
     greedy_decode,
     label_feasible,
     multitask_loss,
@@ -99,6 +102,62 @@ def test_more_frames_never_lose_feasibility():
         for label in ([1], [1, 2], [2, 2], [1, 1, 2]):
             if ctc_log_prob(lattice, label) > -math.inf:
                 assert ctc_log_prob(extended, label) > -math.inf
+
+
+def loop_reference(lattice, label):
+    """One label at a time through the full-matrix forward kernel."""
+    if lattice.frames == 0:
+        return 0.0 if len(label) == 0 else -math.inf
+    if not label_feasible(label, lattice.frames):
+        return -math.inf
+    ext, skip = extended_states(label)
+    alpha = _kernels.ctc_alpha_numpy(lattice.scores[:, ext], skip)
+    total = alpha[-1, -1]
+    if alpha.shape[1] > 1:
+        total = np.logaddexp(total, alpha[-1, -2])
+    return float(total)
+
+
+def test_batch_equals_loop_reference_exactly():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        F = int(rng.integers(1, 30))
+        V = int(rng.integers(2, 6))
+        lattice = random_lattice(rng, F, V)
+        labels = [
+            [int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 20)))]
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        # an empty label, repeated tokens (skip disabled), and a label too
+        # long for the frame count ride in every batch
+        labels += [[], [1, 1, 1], [1] * (F + 1)]
+        assert ctc_log_probs(lattice, labels) == [loop_reference(lattice, label) for label in labels]
+
+
+def test_batch_infeasible_and_zero_frames():
+    lattice = random_lattice(np.random.default_rng(2), 3, 3)
+    got = ctc_log_probs(lattice, [[1, 1, 1], [2], [1, 2, 1, 2]])
+    assert got[0] == -math.inf and got[2] == -math.inf
+    assert got[1] == loop_reference(lattice, [2])
+    assert ctc_log_probs(lattice, [[2, 2, 2], [1, 2, 1, 2]]) == [-math.inf, -math.inf]
+    assert ctc_log_probs(lattice, []) == []
+    empty = EmissionLattice(np.zeros((0, 3)), normalized=True)
+    assert ctc_log_probs(empty, [[], [1], []]) == [0.0, -math.inf, 0.0]
+
+
+@pytest.mark.parametrize("bad", [[0], [1, 5]])
+def test_batch_rejects_bad_label_like_single_call(bad):
+    lattice = uniform_lattice(4, 3)
+    with pytest.raises(HanjointError) as single:
+        ctc_log_prob(lattice, bad)
+    with pytest.raises(HanjointError) as batch:
+        ctc_log_probs(lattice, [[1], [2, 1], bad, [1, 1, 2]])
+    assert type(batch.value) is type(single.value)
+    assert str(batch.value) == str(single.value)
+    # checked before any work, also when the lattice has no frames
+    empty = EmissionLattice(np.zeros((0, 3)), normalized=True)
+    with pytest.raises(type(single.value)):
+        ctc_log_probs(empty, [[1], bad])
 
 
 # ---- gradients ----

@@ -12,7 +12,7 @@ from hanjoint.joint import (
     rescore_candidate,
 )
 from hanjoint.lattice_io import EmissionLattice, Vocabulary
-from hanjoint.synth import SynthSpec, gen_lattice, random_lattice
+from hanjoint.synth import SynthSpec, gen_lattice, gen_oov_corpus, random_lattice
 
 SYLL_VOCAB = Vocabulary(("<ctc_blank>", "|", "가", "나", "다"))
 GRAP_VOCAB = Vocabulary(("<ctc_blank>", "|", "ㄱ", "ㄴ", "ㄷ", "ㅏ"))
@@ -80,6 +80,24 @@ def test_rescoring_consistency_and_union_coverage():
             text = compose_hypothesis(hyp, GRAP_VOCAB)
             if text is not None:
                 assert text in set(texts)
+
+
+def test_batched_union_scores_equal_single_candidate_rescoring():
+    texts = ["가 나 흙 하", "나 그 가", "흙 닭 가", "가나 다", "밝은 흙", "하나"]
+    corpus = gen_oov_corpus(texts, ["흙"], SynthSpec("", frames_per_token=2, noise=0.3, seed=5))
+    cfg = JointConfig(gamma=0.5, beam=BeamConfig(beam_width=20))
+    oov = 0
+    for utt in corpus.utterances:
+        args = (utt.syllable_lattice, utt.grapheme_lattice, corpus.syllable_vocab, corpus.grapheme_vocab)
+        result = joint_decode(*args, cfg)
+        assert len(result.candidates) > 1
+        for cand in result.candidates:
+            again = rescore_candidate(cand.text, *args, cfg.gamma)
+            assert (again.syll_log_prob, again.grap_log_prob, again.joint_score) == (
+                cand.syll_log_prob, cand.grap_log_prob, cand.joint_score
+            )
+            oov += cand.syll_log_prob is None
+    assert oov > 0
 
 
 def test_non_composable_candidates_are_counted():
