@@ -7,7 +7,6 @@ is validated against.  The ``hanjoint`` command wires these into batch
 workflows.
 """
 
-from ._kernels import backend as kernel_backend
 from .beam import BeamConfig, Hypothesis, prefix_beam_search
 from .ctc import (
     LossResult,
@@ -33,7 +32,6 @@ from .lattice_io import (
     Utterance,
     Vocabulary,
     load_lattice,
-    load_vocab,
     normalize,
     save_lattice,
     text_to_tokens,
@@ -43,6 +41,12 @@ from .metrics import EditSummary, EvalReport, cer, levenshtein, space_normalize,
 from .synth import SynthSpec, brute_force_best, brute_force_ctc, gen_lattice, gen_oov_corpus
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the CTC kernel backend; numpy is the only one."""
+    return "numpy"
+
 
 __all__ = [
     "BeamConfig",
@@ -76,7 +80,6 @@ __all__ = [
     "label_feasible",
     "levenshtein",
     "load_lattice",
-    "load_vocab",
     "multitask_loss",
     "normalize",
     "prefix_beam_search",

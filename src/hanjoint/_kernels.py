@@ -5,14 +5,10 @@ Scoring a label only needs the last row of the forward recurrence, so
 one vectorized step over an (N, S_max) state array per frame.  Joint
 decoding scores every candidate of one lattice through that one call.
 
-The gradient needs every alpha and beta row.  Those two recurrences,
-:func:`ctc_alpha` and :func:`ctc_beta`, have two interchangeable backends:
-numba's ``@njit`` when available, and a pure-numpy implementation
-vectorized over the state axis that serves as the fallback and as a
-cross-check.  The ``HANJOINT_NUMBA`` environment variable selects: ``0`` /
-``off`` / ``numpy`` forces the numpy path; anything else (default) uses
-numba when it imports.  Both backends agree to float rounding (~1 ulp per
-log-add).
+The gradient needs every alpha and beta row.  :func:`ctc_alpha` and
+:func:`ctc_beta` compute those full matrices, vectorized over the state
+axis; :func:`ctc_alpha` is also the reference the batched kernel is tested
+against.  All three use the same :func:`_logsumexp3` arithmetic.
 
 Conventions: ``lp_ext[t, s]`` is the frame-t log-probability of extended
 state s (blank, y1, blank, ..., yL, blank); ``skip[s]`` is True where the
@@ -24,22 +20,10 @@ every frame.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 NEG_INF = -np.inf
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("HANJOINT_NUMBA", "auto").strip().lower()
-    return flag not in ("0", "false", "no", "off", "numpy")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy backend (vectorized over the state axis)
-# ---------------------------------------------------------------------------
 
 def _logsumexp3(a, b, c):
     m = np.maximum(np.maximum(a, b), c)
@@ -49,7 +33,7 @@ def _logsumexp3(a, b, c):
         return np.where(np.isfinite(m), safe + np.log(total), NEG_INF)
 
 
-def ctc_alpha_numpy(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def ctc_alpha(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
     F, S = lp_ext.shape
     alpha = np.full((F, S), NEG_INF)
     alpha[0, 0] = lp_ext[0, 0]
@@ -73,7 +57,7 @@ def ctc_alpha_last_batch(scores: np.ndarray, ext: np.ndarray, skip: np.ndarray) 
     ``scores`` is the F x V lattice (F >= 1); row n of ``ext`` / ``skip`` is
     a label's extended states and skip mask, padded on the right to the
     batch's longest.  Each real state sees the same arithmetic as in
-    :func:`ctc_alpha_numpy`, so it matches that kernel's last row exactly.
+    :func:`ctc_alpha`, so it matches that kernel's last row exactly.
     Padded states need no masking: transitions only move to equal or
     higher states, so they never feed a label's real states.  Emissions are
     gathered one frame at a time, never as an F x N x S_max tensor.
@@ -90,7 +74,7 @@ def ctc_alpha_last_batch(scores: np.ndarray, ext: np.ndarray, skip: np.ndarray) 
     return alpha
 
 
-def ctc_beta_numpy(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def ctc_beta(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
     F, S = lp_ext.shape
     beta = np.full((F, S), NEG_INF)
     beta[F - 1, S - 1] = 0.0
@@ -108,81 +92,9 @@ def ctc_beta_numpy(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return beta
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-def _ctc_alpha_loops(lp_ext, skip):
-    F, S = lp_ext.shape
-    alpha = np.full((F, S), NEG_INF)
-    alpha[0, 0] = lp_ext[0, 0]
-    if S > 1:
-        alpha[0, 1] = lp_ext[0, 1]
-    for t in range(1, F):
-        for s in range(S):
-            acc = alpha[t - 1, s]
-            if s >= 1:
-                acc = _logadd(acc, alpha[t - 1, s - 1])
-            if s >= 2 and skip[s]:
-                acc = _logadd(acc, alpha[t - 1, s - 2])
-            alpha[t, s] = acc + lp_ext[t, s]
-    return alpha
-
-
-def _ctc_beta_loops(lp_ext, skip):
-    F, S = lp_ext.shape
-    beta = np.full((F, S), NEG_INF)
-    beta[F - 1, S - 1] = 0.0
-    if S > 1:
-        beta[F - 1, S - 2] = 0.0
-    for t in range(F - 2, -1, -1):
-        for s in range(S):
-            acc = beta[t + 1, s] + lp_ext[t + 1, s]
-            if s + 1 < S:
-                acc = _logadd(acc, beta[t + 1, s + 1] + lp_ext[t + 1, s + 1])
-            if s + 2 < S and skip[s + 2]:
-                acc = _logadd(acc, beta[t + 1, s + 2] + lp_ext[t + 1, s + 2])
-            beta[t, s] = acc
-    return beta
-
-
-def _logadd_py(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    if b == NEG_INF:
-        return a
-    return a + math.log1p(math.exp(b - a))
-
-
-_logadd = _logadd_py
-
-BACKEND = "numpy"
-ctc_alpha = ctc_alpha_numpy
-ctc_beta = ctc_beta_numpy
-ctc_alpha_numba = None
-ctc_beta_numba = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        _logadd = njit(cache=True, nogil=True, inline="always")(_logadd_py)
-        ctc_alpha_numba = njit(cache=True, nogil=True)(_ctc_alpha_loops)
-        ctc_beta_numba = njit(cache=True, nogil=True)(_ctc_beta_loops)
-        ctc_alpha = ctc_alpha_numba
-        ctc_beta = ctc_beta_numba
-        BACKEND = "numba"
-
-
-def backend() -> str:
-    """Name of the active kernel backend: ``numba`` or ``numpy``."""
-    return BACKEND
-
-
 def warmup() -> None:
-    """Trigger JIT compilation so later calls run at full speed."""
+    """Run both full-matrix kernels once on a tiny case, so the first timed
+    call does not also pay for numpy's first-use set-up."""
     lp = np.log(np.full((2, 3), 1.0 / 3.0))
     skip = np.array([False, False, True])
     ctc_alpha(lp, skip)

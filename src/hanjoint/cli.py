@@ -30,17 +30,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, hangul, selfcheck
-from .beam import BeamConfig, prefix_beam_search
+# prefix_beam_search stays importable here: perfbench/layers.py traces cli.prefix_beam_search.
+from .beam import BeamConfig, prefix_beam_search  # noqa: F401
 from .ctc import MultiTaskLossConfig, greedy_decode, multitask_loss
 from .errors import EmptyReference, HanjointError, InfeasibleLabel, OutOfVocabulary, UnmatchedId
-from .joint import JointConfig, compose_hypothesis, joint_decode
+from .joint import JointConfig, beam_decode_texts, joint_decode
 from .lattice_io import (
     EmissionLattice,
     Vocabulary,
     load_lattice,
     normalize,
     save_lattice,
-    tokens_to_text,
 )
 from .metrics import EvalReport, UtteranceEval, levenshtein
 from .synth import SynthSpec, gen_oov_corpus
@@ -89,6 +89,8 @@ def _thread_count(value: int | None) -> int:
             return max(1, int(env))
         except ValueError:
             raise HanjointError(f"HANJOINT_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -218,17 +220,10 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k
                 text = raw
             hyps = [{"text": text, "level": use_level}]
         else:  # beam
-            hyps = []
-            for hyp in prefix_beam_search(lattice, vocab, beam_cfg, level=use_level):
-                if use_level == "grapheme":
-                    text = compose_hypothesis(hyp, vocab)
-                    if text is None:
-                        continue
-                else:
-                    text = tokens_to_text(list(hyp.tokens), vocab, "syllable")
-                hyps.append({"text": text, "log_prob": hyp.log_prob, "level": use_level})
-                if len(hyps) >= top_k:
-                    break
+            hyps = [
+                {"text": text, "log_prob": log_prob, "level": use_level}
+                for text, log_prob in beam_decode_texts(lattice, vocab, use_level, beam_cfg)[:top_k]
+            ]
         return {"id": utt.id, "mode": mode, "level": use_level, "hypotheses": hyps}
     except HanjointError as exc:
         return {"id": utt.id, "mode": mode, "error": str(exc)}
@@ -482,19 +477,26 @@ def cmd_oov_report(args) -> int:
     oov_occurrences = sum(ref_units[u] for u in constructible)
 
     recovery = {}
+    failed_count = 0
     for decode_path in args.decodes:
-        hyps, _ = _read_hyps(Path(decode_path))
+        hyps, failed = _read_hyps(Path(decode_path))
         mode = None
         for line in Path(decode_path).read_text(encoding="utf-8").splitlines():
             if line.startswith("{"):
                 record = json.loads(line)
+                if "error" in record:  # failed records carry no level
+                    continue
                 mode = record.get("mode")
                 if mode and record.get("level"):
                     mode = f"{mode}:{record['level']}"
                 break
         recovered_types: set[str] = set()
         recovered_occ = 0
+        failed_ids = []
         for utt_id, reference in refs.items():
+            if utt_id in failed:
+                failed_ids.append(utt_id)
+                continue
             hypothesis = hyps.get(utt_id)
             if hypothesis is None:
                 raise UnmatchedId(utt_id)
@@ -509,6 +511,9 @@ def cmd_oov_report(args) -> int:
             "vocab": len(recovered_types),
             "occurrences": recovered_occ,
         }
+        if failed_ids:
+            recovery[key]["failed"] = failed_ids
+            failed_count += len(failed_ids)
 
     record = {
         "total_vocab": len(ref_units),
@@ -537,6 +542,9 @@ def cmd_oov_report(args) -> int:
         f" {pct(recovery[m]['occurrences'], v['oov_occurrences']):>20s}" for m in modes
     )
     print("\n".join([head, row1, row2]), file=sys.stderr)
+    if failed_count:
+        print(f"{failed_count} decode records failed and recovered nothing", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -628,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token-cutoff", type=int, default=None)
     p.add_argument("--format", choices=("auto", "binary", "text"), default="auto")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: HANJOINT_THREADS or all cores)")
+                   help="worker threads (default: HANJOINT_THREADS or all usable cores)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decode)
 

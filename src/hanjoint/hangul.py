@@ -55,18 +55,6 @@ def is_syllable(ch: str) -> bool:
     return len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST
 
 
-def is_jamo(ch: str) -> bool:
-    return ch in JAMO_INVENTORY
-
-
-def is_consonant(ch: str) -> bool:
-    return ch in CONSONANTS
-
-
-def is_vowel(ch: str) -> bool:
-    return ch in VOWELS
-
-
 def decompose_syllable(ch: str) -> list[str]:
     """Split one precomposed syllable into 2 or 3 compatibility jamo.
 

@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 from .beam import BeamConfig, Hypothesis, prefix_beam_search
-from .ctc import ctc_log_probs
+# ctc_log_prob is importable here because perfbench/layers.py traces joint.ctc_log_prob.
+from .ctc import ctc_log_prob, ctc_log_probs  # noqa: F401
 from .errors import BothBeamsEmpty, OutOfVocabulary
 from .hangul import try_compose
-from .lattice_io import EmissionLattice, Vocabulary, text_to_tokens, tokens_to_text, tokens_to_units
+from .lattice_io import EmissionLattice, Vocabulary, text_to_tokens, tokens_to_units
 
 NEG_INF = -math.inf
 
@@ -118,9 +119,13 @@ def rescore_candidate(
     return _rescore([(text, provenance)], syll_lattice, grap_lattice, syll_vocab, grap_vocab, gamma)[0]
 
 
-def compose_hypothesis(hyp: Hypothesis, grap_vocab: Vocabulary) -> str | None:
-    """Syllable text of a grapheme hypothesis, or None if not composable."""
-    return try_compose(tokens_to_units(list(hyp.tokens), grap_vocab))
+def hypothesis_text(hyp: Hypothesis, vocab: Vocabulary, level: str) -> str | None:
+    """Text of a beam hypothesis: syllable tokens are joined, grapheme
+    tokens composed into syllables (None when the jamo do not compose)."""
+    units = tokens_to_units(list(hyp.tokens), vocab)
+    if level == "grapheme":
+        return try_compose(units)
+    return "".join(units)
 
 
 def joint_decode(
@@ -135,20 +140,18 @@ def joint_decode(
     Ties in joint score break lexicographically on text, so the ranking is
     deterministic.
     """
-    syll_hyps = prefix_beam_search(syll_lattice, syll_vocab, config.beam, level="syllable")
-    grap_hyps = prefix_beam_search(grap_lattice, grap_vocab, config.beam, level="grapheme")
-
     provenance: dict[str, set[str]] = {}
     dropped = 0
-    for hyp in syll_hyps:
-        text = tokens_to_text(list(hyp.tokens), syll_vocab, "syllable")
-        provenance.setdefault(text, set()).add("syllable_beam")
-    for hyp in grap_hyps:
-        text = compose_hypothesis(hyp, grap_vocab)
-        if text is None:
-            dropped += 1
-            continue
-        provenance.setdefault(text, set()).add("grapheme_beam")
+    for lattice, vocab, level in (
+        (syll_lattice, syll_vocab, "syllable"),
+        (grap_lattice, grap_vocab, "grapheme"),
+    ):
+        for hyp in prefix_beam_search(lattice, vocab, config.beam, level=level):
+            text = hypothesis_text(hyp, vocab, level)
+            if text is None:
+                dropped += 1
+                continue
+            provenance.setdefault(text, set()).add(f"{level}_beam")
 
     if not provenance:
         raise BothBeamsEmpty("no candidate survived either beam")
@@ -171,11 +174,7 @@ def beam_decode_texts(
     Grapheme hypotheses are composed; non-composable ones are skipped."""
     out: list[tuple[str, float]] = []
     for hyp in prefix_beam_search(lattice, vocab, config, level=level):
-        if level == "grapheme":
-            text = compose_hypothesis(hyp, vocab)
-            if text is None:
-                continue
-        else:
-            text = tokens_to_text(list(hyp.tokens), vocab, "syllable")
-        out.append((text, hyp.log_prob))
+        text = hypothesis_text(hyp, vocab, level)
+        if text is not None:
+            out.append((text, hyp.log_prob))
     return out

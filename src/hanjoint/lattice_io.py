@@ -101,9 +101,6 @@ class Vocabulary:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
 
-load_vocab = Vocabulary.load
-
-
 @dataclass
 class EmissionLattice:
     """F x V per-frame score matrix (float64 in memory)."""

@@ -176,18 +176,23 @@ def check_hangul_round_trip() -> CheckResult:
 
 def check_loss_endpoints(seed: int = 1005) -> CheckResult:
     rng = np.random.default_rng(seed)
-    syll = EmissionLattice(rng.normal(size=(6, _SYLL_VOCAB.size)))
-    grap = EmissionLattice(rng.normal(size=(8, _GRAP_VOCAB.size)))
     text = "가 나"
-    at1 = multitask_loss(syll, grap, text, _SYLL_VOCAB, _GRAP_VOCAB, MultiTaskLossConfig(1.0))
-    at0 = multitask_loss(syll, grap, text, _SYLL_VOCAB, _GRAP_VOCAB, MultiTaskLossConfig(0.0))
-    mid = multitask_loss(syll, grap, text, _SYLL_VOCAB, _GRAP_VOCAB, MultiTaskLossConfig(0.5))
-    ok = (
-        at1.total == at1.syllable_log_prob
-        and at0.total == at0.grapheme_log_prob
-        and abs(mid.total - (mid.syllable_log_prob + mid.grapheme_log_prob) / 2) <= 1e-12
+    for k in range(20):
+        syll = EmissionLattice(rng.normal(size=(6, _SYLL_VOCAB.size)))
+        grap = EmissionLattice(rng.normal(size=(8, _GRAP_VOCAB.size)))
+        at1 = multitask_loss(syll, grap, text, _SYLL_VOCAB, _GRAP_VOCAB, MultiTaskLossConfig(1.0))
+        at0 = multitask_loss(syll, grap, text, _SYLL_VOCAB, _GRAP_VOCAB, MultiTaskLossConfig(0.0))
+        mid = multitask_loss(syll, grap, text, _SYLL_VOCAB, _GRAP_VOCAB, MultiTaskLossConfig(0.5))
+        ok = (
+            at1.total == at1.syllable_log_prob
+            and at0.total == at0.grapheme_log_prob
+            and abs(mid.total - (mid.syllable_log_prob + mid.grapheme_log_prob) / 2) <= 1e-12
+        )
+        if not ok:
+            return CheckResult("loss-endpoints", False, f"identity broken on instance {k}")
+    return CheckResult(
+        "loss-endpoints", True, "lambda in {0, 0.5, 1} reproduces head/mean identities on 20 instances"
     )
-    return CheckResult("loss-endpoints", ok, "lambda in {0, 0.5, 1} reproduces head/mean identities")
 
 
 def run_all() -> list[CheckResult]:

@@ -1,26 +1,21 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line.  Tolerances are fixed here and nowhere else."""
+pass/fail line.  Criteria 1-5 and 8 run the ``selfcheck`` oracles with this
+module's own seeds and instance counts; their tolerances (1e-9, 1e-3, 1e-9
+and 1e-12) live in :mod:`hanjoint.selfcheck` and nowhere else."""
 
 import json
-import math
 import time
 
 import numpy as np
 import pytest
 
-from hanjoint import _kernels, hangul
-from hanjoint.beam import BeamConfig, prefix_beam_search
+from hanjoint import _kernels, hangul, selfcheck
+from hanjoint.beam import BeamConfig
 from hanjoint.cli import main
-from hanjoint.ctc import (
-    MultiTaskLossConfig,
-    ctc_log_prob,
-    ctc_loss_and_grad,
-    multitask_loss,
-)
 from hanjoint.joint import JointConfig, beam_decode_texts, joint_decode
-from hanjoint.lattice_io import EmissionLattice, Vocabulary, normalize, save_lattice
+from hanjoint.lattice_io import Vocabulary, save_lattice
 from hanjoint.metrics import cer, space_normalize, swer, wer
-from hanjoint.synth import SynthSpec, brute_force_best, brute_force_ctc, gen_oov_corpus, random_lattice
+from hanjoint.synth import SynthSpec, gen_oov_corpus, random_lattice
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -32,30 +27,25 @@ def report(criterion: str, detail: str) -> None:
     print(f"[PASS] {criterion}: {detail}")
 
 
+def timed(check, *args, **kwargs):
+    """Run one selfcheck oracle, assert it passed, and return its detail
+    line with the wall time the call took."""
+    start = time.perf_counter()
+    result = check(*args, **kwargs)
+    elapsed = time.perf_counter() - start
+    assert result.passed, result.line()
+    return result.detail, elapsed
+
+
 # -----------------------------------------------------------------------
 # 1. CTC scoring equals brute-force enumeration
 # -----------------------------------------------------------------------
 
 def test_criterion_1_ctc_oracle_equivalence():
-    rng = np.random.default_rng(9001)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(200):
-        F = int(rng.integers(1, 7))       # F <= 6
-        V = int(rng.integers(2, 5))       # V <= 4
-        lattice = random_lattice(rng, F, V)
-        label = [int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 4)))]  # |Y| <= 3
-        expected = brute_force_ctc(lattice, label)
-        got = ctc_log_prob(lattice, label)
-        if expected == -math.inf or got == -math.inf:
-            assert expected == got
-            continue
-        delta = abs(got - expected)
-        assert delta <= 1e-9
-        worst = max(worst, delta)
-    elapsed = time.perf_counter() - start
+    # F <= 6, V <= 4, |Y| <= 3
+    detail, elapsed = timed(selfcheck.check_ctc_oracle, instances=200, seed=9001)
     assert elapsed < 5.0
-    report("criterion 1 (ctc oracle)", f"200 instances, max |delta| {worst:.2e}, {elapsed:.2f}s")
+    report("criterion 1 (ctc oracle)", detail)
 
 
 # -----------------------------------------------------------------------
@@ -63,33 +53,8 @@ def test_criterion_1_ctc_oracle_equivalence():
 # -----------------------------------------------------------------------
 
 def test_criterion_2_gradient_check():
-    rng = np.random.default_rng(9002)
-    eps = 1e-4
-    worst = 0.0
-    done = 0
-    while done < 50:
-        F = int(rng.integers(1, 7))
-        V = int(rng.integers(2, 5))
-        logits = rng.normal(size=(F, V))
-        label = [int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 4)))]
-        result = ctc_loss_and_grad(EmissionLattice(logits), label)
-        if result.infeasible:
-            continue
-        done += 1
-        for t in range(F):
-            for k in range(V):
-                plus, minus = logits.copy(), logits.copy()
-                plus[t, k] += eps
-                minus[t, k] -= eps
-                numeric = (
-                    ctc_log_prob(normalize(EmissionLattice(plus)), label)
-                    - ctc_log_prob(normalize(EmissionLattice(minus)), label)
-                ) / (2 * eps)
-                analytic = result.grad[t, k]
-                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
-                worst = max(worst, rel)
-    assert worst <= 1e-3
-    report("criterion 2 (gradient)", f"50 instances, max relative error {worst:.2e}")
+    detail, _ = timed(selfcheck.check_gradients, instances=50, seed=9002)
+    report("criterion 2 (gradient)", detail)
 
 
 # -----------------------------------------------------------------------
@@ -97,51 +62,17 @@ def test_criterion_2_gradient_check():
 # -----------------------------------------------------------------------
 
 def test_criterion_3_beam_exactness():
-    rng = np.random.default_rng(9003)
-    worst = 0.0
-    for _ in range(100):
-        F = int(rng.integers(1, 5))
-        V = int(rng.integers(2, 5))
-        lattice = random_lattice(rng, F, V)
-        vocab = Vocabulary(("<ctc_blank>", "|", "a", "b")[:V])
-        width = sum((V - 1) ** l for l in range(F + 1))
-        top = prefix_beam_search(lattice, vocab, BeamConfig(beam_width=width))[0]
-        text, lp = brute_force_best(lattice, vocab)
-        got = "".join(" " if t == vocab.delimiter_index else vocab.tokens[t] for t in top.tokens)
-        assert got == text
-        delta = abs(top.log_prob - lp)
-        assert delta <= 1e-9
-        worst = max(worst, delta)
-    report("criterion 3 (beam exactness)", f"100 instances, max |delta logp| {worst:.2e}")
+    detail, _ = timed(selfcheck.check_beam_exactness, instances=100, seed=9003)
+    report("criterion 3 (beam exactness)", detail)
 
 
 # -----------------------------------------------------------------------
 # 4. Joint decoder endpoints match the single-level decoders
 # -----------------------------------------------------------------------
 
-SYLL_VOCAB = Vocabulary(("<ctc_blank>", "|", "가", "나", "다"))
-GRAP_VOCAB = Vocabulary(("<ctc_blank>", "|", "ㄱ", "ㄴ", "ㄷ", "ㅏ"))
-
-
 def test_criterion_4_joint_endpoints():
-    rng = np.random.default_rng(9004)
-    for _ in range(100):
-        fs = int(rng.integers(1, 4))
-        fg = int(rng.integers(1, 5))
-        syll_lat = random_lattice(rng, fs, SYLL_VOCAB.size)
-        grap_lat = random_lattice(rng, fg, GRAP_VOCAB.size)
-        width = max(
-            sum((SYLL_VOCAB.size - 1) ** l for l in range(fs + 1)),
-            sum((GRAP_VOCAB.size - 1) ** l for l in range(fg + 1)),
-        )
-        beam = BeamConfig(beam_width=width)
-        grap_top = beam_decode_texts(grap_lat, GRAP_VOCAB, "grapheme", beam)[0][0]
-        syll_top = beam_decode_texts(syll_lat, SYLL_VOCAB, "syllable", beam)[0][0]
-        at0 = joint_decode(syll_lat, grap_lat, SYLL_VOCAB, GRAP_VOCAB, JointConfig(0.0, beam))
-        at1 = joint_decode(syll_lat, grap_lat, SYLL_VOCAB, GRAP_VOCAB, JointConfig(1.0, beam))
-        assert at0.best.text == grap_top
-        assert at1.best.text == syll_top
-    report("criterion 4 (joint endpoints)", "gamma=0 == grapheme decoder, gamma=1 == syllable decoder, 100 instances")
+    detail, _ = timed(selfcheck.check_joint_endpoints, instances=100, seed=9004)
+    report("criterion 4 (joint endpoints)", detail)
 
 
 # -----------------------------------------------------------------------
@@ -149,17 +80,9 @@ def test_criterion_4_joint_endpoints():
 # -----------------------------------------------------------------------
 
 def test_criterion_5_hangul_round_trip():
-    start = time.perf_counter()
-    for code in range(hangul.SYLLABLE_BASE, hangul.SYLLABLE_LAST + 1):
-        ch = chr(code)
-        parts = hangul.decompose_syllable(ch)
-        assert 2 <= len(parts) <= 3
-        for p in parts:
-            assert p in hangul.JAMO_INVENTORY
-        assert hangul.compose_jamo(parts) == ch
-    elapsed = time.perf_counter() - start
+    detail, elapsed = timed(selfcheck.check_hangul_round_trip)
     assert elapsed < 1.0
-    report("criterion 5 (hangul round trip)", f"{hangul.SYLLABLE_COUNT} syllables in {elapsed:.2f}s")
+    report("criterion 5 (hangul round trip)", detail)
 
 
 # -----------------------------------------------------------------------
@@ -300,19 +223,8 @@ def test_criterion_7_metric_properties():
 # -----------------------------------------------------------------------
 
 def test_criterion_8_loss_endpoints():
-    rng = np.random.default_rng(9008)
-    for _ in range(20):
-        syll = EmissionLattice(rng.normal(size=(6, SYLL_VOCAB.size)))
-        grap = EmissionLattice(rng.normal(size=(8, GRAP_VOCAB.size)))
-        text = "가 나"
-        at1 = multitask_loss(syll, grap, text, SYLL_VOCAB, GRAP_VOCAB, MultiTaskLossConfig(1.0))
-        assert at1.total == at1.syllable_log_prob
-        at0 = multitask_loss(syll, grap, text, SYLL_VOCAB, GRAP_VOCAB, MultiTaskLossConfig(0.0))
-        assert at0.total == at0.grapheme_log_prob
-        mid = multitask_loss(syll, grap, text, SYLL_VOCAB, GRAP_VOCAB, MultiTaskLossConfig(0.5))
-        mean = (mid.syllable_log_prob + mid.grapheme_log_prob) / 2
-        assert abs(mid.total - mean) <= 1e-12
-    report("criterion 8 (loss endpoints)", "lambda in {0, 0.5, 1}: head/mean identities hold to 1e-12")
+    detail, _ = timed(selfcheck.check_loss_endpoints, seed=9008)
+    report("criterion 8 (loss endpoints)", detail)
 
 
 # -----------------------------------------------------------------------

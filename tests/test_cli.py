@@ -1,8 +1,13 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
-from hanjoint.cli import main
+from hanjoint.beam import BeamConfig, prefix_beam_search
+from hanjoint.cli import _thread_count, main
+from hanjoint.joint import beam_decode_texts, hypothesis_text
+from hanjoint.lattice_io import EmissionLattice, Vocabulary, load_lattice, save_lattice
 
 TEXTS = ["가 나 흙 하", "나 그 가", "흙 닭 가", "가나 다"]
 
@@ -260,6 +265,62 @@ def test_oov_report(corpus, tmp_path):
     assert record["recovery"]["joint"] == {"vocab": 1, "occurrences": 2}
 
 
+def test_oov_report_failed_decode_record(corpus, tmp_path, capsys):
+    (corpus / "utt0000.grap.lat").unlink()
+    decoded = tmp_path / "grap.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "beam", "--level", "grapheme",
+                 "--beam", "20", "--out", str(decoded)]) == 1
+    report_args = ["oov-report", "--refs", str(corpus / "refs.tsv"),
+                   "--train-vocab", str(corpus / "syllable.vocab"),
+                   "--grapheme-vocab", str(corpus / "grapheme.vocab")]
+    out = tmp_path / "report.json"
+    assert main([*report_args, "--decodes", str(decoded), "--out", str(out)]) == 1
+    # the failed first record recovers nothing and does not hide the level;
+    # utt0002 still recovers its held-out syllable
+    assert read_records(out)[0]["recovery"] == {
+        "beam:grapheme": {"vocab": 1, "occurrences": 1, "failed": ["utt0000"]}
+    }
+
+    lines = decoded.read_text(encoding="utf-8").splitlines()
+    missing = tmp_path / "missing.jsonl"
+    missing.write_text("".join(line + "\n" for line in lines if '"utt0002"' not in line),
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main([*report_args, "--decodes", str(missing)]) == 2
+    assert "'utt0002' has no counterpart" in capsys.readouterr().err
+
+
+def test_beam_grapheme_top_k_skips_non_composable(tmp_path):
+    vocab = Vocabulary(("<ctc_blank>", "|", "ㄱ", "ㅏ"))
+    probs = np.array([[0.1, 0.1, 0.3, 0.5],
+                      [0.3, 0.1, 0.1, 0.5]])
+    vocab.save(tmp_path / "grapheme.vocab")
+    save_lattice(EmissionLattice(np.log(probs), normalized=True), tmp_path / "utt0000.grap.lat")
+    out = tmp_path / "beam.jsonl"
+    assert main(["decode", "--corpus", str(tmp_path), "--mode", "beam", "--level", "grapheme",
+                 "--beam", "20", "--top-k", "3", "--out", str(out)]) == 0
+
+    lattice = load_lattice(tmp_path / "utt0000.grap.lat")
+    config = BeamConfig(beam_width=20)
+    # the best grapheme hypothesis is a lone vowel, which does not compose
+    top = prefix_beam_search(lattice, vocab, config)[0]
+    assert top.tokens == (3,) and hypothesis_text(top, vocab, "grapheme") is None
+    expected = [{"text": text, "log_prob": lp, "level": "grapheme"}
+                for text, lp in beam_decode_texts(lattice, vocab, "grapheme", config)[:3]]
+    assert len(expected) == 3 and expected[0]["text"] == "가"
+    assert read_records(out)[0]["hypotheses"] == expected
+
+
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("HANJOINT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _thread_count(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _thread_count(None) == 8
+    assert _thread_count(3) == 3
+
+
 def test_vocab_stats_table_shape(tmp_path, capsys):
     train = tmp_path / "train.txt"
     train.write_text("가 나\n", encoding="utf-8")
@@ -267,24 +328,6 @@ def test_vocab_stats_table_shape(tmp_path, capsys):
     err = capsys.readouterr().err
     for column in ("unit", "#vocab", "#OOV"):
         assert column in err
-
-
-def test_decode_texts_agree_across_kernel_backends(corpus, tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    outs = []
-    for flag in ("1", "0"):
-        out = tmp_path / f"dec_backend{flag}.jsonl"
-        env = dict(os.environ, HANJOINT_NUMBA=flag)
-        subprocess.run(
-            [sys.executable, "-m", "hanjoint.cli", "decode", "--corpus", str(corpus),
-             "--mode", "joint", "--beam", "10", "--out", str(out)],
-            check=True, env=env,
-        )
-        outs.append([r["hypotheses"][0]["text"] for r in read_records(out)])
-    assert outs[0] == outs[1]
 
 
 def test_selfcheck_passes(capsys):

@@ -111,7 +111,7 @@ def loop_reference(lattice, label):
     if not label_feasible(label, lattice.frames):
         return -math.inf
     ext, skip = extended_states(label)
-    alpha = _kernels.ctc_alpha_numpy(lattice.scores[:, ext], skip)
+    alpha = _kernels.ctc_alpha(lattice.scores[:, ext], skip)
     total = alpha[-1, -1]
     if alpha.shape[1] > 1:
         total = np.logaddexp(total, alpha[-1, -2])

@@ -1,4 +1,4 @@
-"""Both kernel backends implement the same recurrences."""
+"""The full-matrix forward and backward kernels implement one recurrence."""
 
 import numpy as np
 import pytest
@@ -18,34 +18,13 @@ def random_case(rng):
     return lattice.scores[:, ext], skip
 
 
-@pytest.mark.skipif(_kernels.ctc_alpha_numba is None, reason="numba unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        lp_ext, skip = random_case(rng)
-        a_np = _kernels.ctc_alpha_numpy(lp_ext, skip)
-        a_nb = _kernels.ctc_alpha_numba(lp_ext, skip)
-        np.testing.assert_allclose(a_nb, a_np, rtol=1e-12, atol=1e-12)
-        b_np = _kernels.ctc_beta_numpy(lp_ext, skip)
-        b_nb = _kernels.ctc_beta_numba(lp_ext, skip)
-        np.testing.assert_allclose(b_nb, b_np, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("alpha_fn,beta_fn", [
-    (_kernels.ctc_alpha_numpy, _kernels.ctc_beta_numpy),
-    pytest.param(
-        _kernels.ctc_alpha_numba,
-        _kernels.ctc_beta_numba,
-        marks=pytest.mark.skipif(_kernels.ctc_alpha_numba is None, reason="numba unavailable"),
-    ),
-])
-def test_forward_backward_consistency(alpha_fn, beta_fn):
+def test_forward_backward_consistency():
     # alpha[t] + beta[t] must give the same total mass at every frame
     rng = np.random.default_rng(5)
     for _ in range(50):
         lp_ext, skip = random_case(rng)
-        alpha = alpha_fn(lp_ext, skip)
-        beta = beta_fn(lp_ext, skip)
+        alpha = _kernels.ctc_alpha(lp_ext, skip)
+        beta = _kernels.ctc_beta(lp_ext, skip)
         total = alpha[-1, -1]
         if alpha.shape[1] > 1:
             total = np.logaddexp(total, alpha[-1, -2])
@@ -56,11 +35,3 @@ def test_forward_backward_consistency(alpha_fn, beta_fn):
             m = joined.max()
             frame_total = m + np.log(np.exp(joined - m).sum())
             assert frame_total == pytest.approx(total, abs=1e-10)
-
-
-def test_backend_flag(monkeypatch):
-    assert _kernels.backend() in ("numba", "numpy")
-    monkeypatch.setenv("HANJOINT_NUMBA", "0")
-    assert not _kernels._numba_requested()
-    monkeypatch.setenv("HANJOINT_NUMBA", "auto")
-    assert _kernels._numba_requested()
