@@ -237,7 +237,7 @@ def cmd_decode(args) -> int:
     if args.mode in ("joint",) and (syll_vocab is None or grap_vocab is None):
         raise HanjointError("joint decoding needs both vocabularies in the corpus")
 
-    beam_cfg = BeamConfig(beam_width=args.beam, token_cutoff=args.token_cutoff)
+    beam_cfg = BeamConfig(beam_width=args.beam)
     threads = _thread_count(args.threads)
 
     def work(utt):
@@ -260,7 +260,6 @@ def cmd_decode(args) -> int:
             "beam": args.beam,
             "gamma": args.gamma,
             "top_k": args.top_k,
-            "token_cutoff": args.token_cutoff,
             "format": args.format,
         },
         inputs=[str(corpus)],
@@ -633,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=100)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--top-k", type=int, default=1)
-    p.add_argument("--token-cutoff", type=int, default=None)
     p.add_argument("--format", choices=("auto", "binary", "text"), default="auto")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: HANJOINT_THREADS or all usable cores)")

@@ -12,6 +12,59 @@ VOCAB3 = Vocabulary(("<ctc_blank>", "|", "a"))
 VOCAB4 = Vocabulary(("<ctc_blank>", "|", "a", "b"))
 
 
+def vocab_of(size):
+    return Vocabulary(("<ctc_blank>", "|", *(f"t{i}" for i in range(2, size))))
+
+
+def full_matrix_beam(lattice, width):
+    """Reference beam with no vocabulary pruning: every frame scores the
+    whole (live prefixes x vocabulary) extension matrix, and prefixes are
+    token tuples.  prefix_beam_search must match it exactly."""
+    V = lattice.vocab_size
+    prefixes = [()]
+    pb = np.array([0.0])
+    pnb = np.array([-np.inf])
+    for lp in lattice.scores:
+        n = len(prefixes)
+        slot = {p: k for k, p in enumerate(prefixes)}
+        total = np.logaddexp(pb, pnb)
+        last = np.array([p[-1] if p else -1 for p in prefixes])
+        has_last = last >= 0
+        kept_pb = total + lp[0]
+        kept_pnb = np.where(has_last, pnb + lp[np.where(has_last, last, 0)], -np.inf)
+        ext = total[:, None] + lp[None, :]
+        rows = np.nonzero(has_last)[0]
+        ext[rows, last[rows]] = pb[rows] + lp[last[rows]]
+        ext[:, 0] = -np.inf
+        for j in rows:
+            parent = slot.get(prefixes[j][:-1])
+            if parent is not None:
+                kept_pnb[j] = np.logaddexp(kept_pnb[j], ext[parent, last[j]])
+                ext[parent, last[j]] = -np.inf
+        scores = np.concatenate([np.logaddexp(kept_pb, kept_pnb), ext.ravel()])
+
+        def key(c):
+            if c < n:
+                return prefixes[c]
+            i, tok = divmod(int(c) - n, V)
+            return prefixes[i] + (tok,)
+
+        if scores.size > width:
+            cutoff = np.partition(scores, scores.size - width)[scores.size - width]
+            chosen = list(np.nonzero(scores > cutoff)[0])
+            if len(chosen) < width and cutoff > -np.inf:
+                tied = sorted(np.nonzero(scores == cutoff)[0], key=key)
+                chosen += tied[: width - len(chosen)]
+        else:
+            chosen = list(np.nonzero(scores > -np.inf)[0])
+        prefixes = [key(c) for c in chosen]
+        pb = np.array([kept_pb[c] if c < n else -np.inf for c in chosen])
+        pnb = np.array([kept_pnb[c] if c < n else ext.ravel()[c - n] for c in chosen])
+    total = np.logaddexp(pb, pnb)
+    order = sorted(range(len(prefixes)), key=lambda i: (-total[i], prefixes[i]))
+    return [Hypothesis(prefixes[i], float(total[i])) for i in order[:width]]
+
+
 def exhaustive_width(frames, vocab_size):
     return sum((vocab_size - 1) ** l for l in range(frames + 1))
 
@@ -122,13 +175,75 @@ def test_max_output_truncates():
     assert len(hyps) == 3
 
 
-def test_token_cutoff_keeps_top_tokens():
-    rng = np.random.default_rng(6)
-    lattice = random_lattice(rng, 6, 4)
-    full = prefix_beam_search(lattice, VOCAB4, BeamConfig(beam_width=50))
-    cut = prefix_beam_search(lattice, VOCAB4, BeamConfig(beam_width=50, token_cutoff=2))
-    assert cut[0].log_prob <= full[0].log_prob + 1e-12
-    assert len(cut) >= 1
+def test_matches_full_matrix_reference_on_random_lattices():
+    # V up to 45 and widths 1-8 keep vocabulary pruning active on most
+    # frames; integer logits force exact ties at the cutoff, and boosted
+    # runs of one token make repeats take the blank-ending extension path
+    rng = np.random.default_rng(2024)
+    for k in range(1200):
+        F = int(rng.integers(1, 13))
+        V = int(rng.integers(3, 46))
+        width = int(rng.integers(1, 9))
+        logits = rng.normal(0.0, rng.choice([0.5, 2.0, 4.0]), size=(F, V))
+        if k % 2:
+            logits = np.round(logits)
+        if k % 3 == 0:
+            runs = np.repeat(rng.integers(1, V, size=F), rng.integers(1, 4, size=F))[:F]
+            logits[np.arange(F), runs] += 3.0
+        lattice = EmissionLattice(
+            logits - np.log(np.exp(logits).sum(axis=1, keepdims=True)), normalized=True
+        )
+        got = prefix_beam_search(lattice, vocab_of(V), BeamConfig(beam_width=width))
+        assert got == full_matrix_beam(lattice, width), (k, F, V, width)
+
+
+def test_recreated_prefix_keeps_its_node_id():
+    # tokens a=1, b=2, width 3: after frame 3 "ab" has dropped out while its
+    # child "aba" is live; frame 4 re-creates "ab" from "a", and in frame 5
+    # "ab" + a must merge into "aba".  The merge test finds the parent
+    # through "aba"'s parent node id, so the re-created "ab" has to get its
+    # old node back.
+    probs = np.array([
+        [0.1, 0.6, 0.3],
+        [0.2, 0.5, 0.3],
+        [0.2, 0.7, 0.1],
+        [0.2, 0.5, 0.3],
+        [0.5, 0.1, 0.4],
+    ])
+    config = BeamConfig(beam_width=3)
+
+    def live_after(frames):
+        lattice = EmissionLattice(np.log(probs[:frames]), normalized=True)
+        return {h.tokens for h in prefix_beam_search(lattice, VOCAB3, config)}
+
+    assert live_after(3) == {(1,), (1, 2, 1), (2, 1)}
+    assert {(1, 2), (1, 2, 1)} <= live_after(4)
+    lattice = EmissionLattice(np.log(probs), normalized=True)
+    hyps = prefix_beam_search(lattice, VOCAB3, config)
+    assert hyps == full_matrix_beam(lattice, 3)
+    assert len({h.tokens for h in hyps}) == len(hyps)
+
+
+def test_pruning_keeps_tokens_that_tie_only_after_rounding():
+    # frame 0 leaves one live prefix (4,).  In frame 1 token 1 scores one ulp
+    # below tokens 2 and 3, so it is not among the top width + 1 = 2; but
+    # adding the prefix total rounds all three extensions to the same score,
+    # and the lexicographic tie-break must then pick token 1
+    first = np.array([0.3, 0.08, 0.08, 0.08, math.exp(-1.0), 0.0])
+    first[5] = 1.0 - first.sum()
+    total = np.log(first[4])
+    x = -1.46
+    while total + np.nextafter(x, -np.inf) != total + x:
+        x = np.nextafter(x, 0.0)
+    rest = 1.0 - np.exp(np.nextafter(x, -np.inf)) - 2 * np.exp(x)
+    second = np.array([
+        np.log(0.6 * rest), np.nextafter(x, -np.inf), x, x,
+        np.log(0.15 * rest), np.log(0.25 * rest),
+    ])
+    lattice = EmissionLattice(np.stack([np.log(first), second]), normalized=True)
+    hyps = prefix_beam_search(lattice, vocab_of(6), BeamConfig(beam_width=1))
+    assert hyps == full_matrix_beam(lattice, 1)
+    assert hyps[0].tokens == (4, 1)
 
 
 def test_level_is_attached():
