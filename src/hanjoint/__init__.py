@@ -29,7 +29,6 @@ from .joint import (
 )
 from .lattice_io import (
     EmissionLattice,
-    Utterance,
     Vocabulary,
     load_lattice,
     normalize,
@@ -60,7 +59,6 @@ __all__ = [
     "MultiTaskLossConfig",
     "ScoredCandidate",
     "SynthSpec",
-    "Utterance",
     "Vocabulary",
     "beam_decode_texts",
     "brute_force_best",

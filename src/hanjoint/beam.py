@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HanjointError
-from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary
+from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, require_normalized
 
 NEG_INF = -np.inf
 # a bound, relative to the magnitudes added, on how far below the pruning
@@ -43,21 +43,13 @@ _SLACK = 8 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """beam_width live prefixes; up to max_output returned (defaults to
-    beam_width)."""
+    """beam_width live prefixes, all of them returned."""
 
     beam_width: int = 100
-    max_output: int | None = None
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if self.max_output is not None and not 1 <= self.max_output <= self.beam_width:
-            raise ValueError("max_output must lie in [1, beam_width]")
-
-    @property
-    def effective_max_output(self) -> int:
-        return self.max_output if self.max_output is not None else self.beam_width
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,7 @@ def prefix_beam_search(
     Ranking and pruning use total prefix mass with ties broken by
     lexicographic token order, so results are deterministic.
     """
-    if not lattice.normalized:
-        raise HanjointError("lattice must be normalized (log-probabilities)")
+    require_normalized(lattice)
     if lattice.vocab_size != vocab.size:
         raise HanjointError(
             f"lattice vocab size {lattice.vocab_size} != vocabulary size {vocab.size}"
@@ -203,7 +194,4 @@ def prefix_beam_search(
 
     total = np.logaddexp(pb, pnb)
     order = sorted(range(len(prefixes)), key=lambda i: (-total[i], prefixes[i]))
-    return [
-        Hypothesis(prefixes[i], float(total[i]), level)
-        for i in order[: config.effective_max_output]
-    ]
+    return [Hypothesis(prefixes[i], float(total[i]), level) for i in order]

@@ -14,7 +14,8 @@ byte for byte.  Exit codes: 0 on success, 1 when any utterance failed,
 
 A corpus directory contains ``syllable.vocab``, ``grapheme.vocab``,
 ``refs.tsv`` (id<TAB>text), and per-utterance ``<id>.syll.lat`` /
-``<id>.grap.lat`` lattice files in either lattice format.
+``<id>.grap.lat`` lattice files in either lattice format, told apart by
+the file's magic bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .ctc import MultiTaskLossConfig, greedy_decode, multitask_loss
 from .errors import EmptyReference, HanjointError, InfeasibleLabel, OutOfVocabulary, UnmatchedId
 from .joint import JointConfig, beam_decode_texts, joint_decode
 from .lattice_io import (
-    EmissionLattice,
     Vocabulary,
     load_lattice,
     normalize,
@@ -166,23 +166,18 @@ def _scan_corpus(corpus: Path) -> tuple[Vocabulary | None, Vocabulary | None, li
     return syll_vocab, grap_vocab, utterances
 
 
-def _load_normalized(path: Path, format: str = "auto") -> EmissionLattice:
-    lattice = load_lattice(path, format)
-    return lattice if lattice.normalized else normalize(lattice)
-
-
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------
 
-def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k, format="auto"):
+def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k):
     try:
         if mode == "joint":
             if utt.syll_path is None or utt.grap_path is None:
                 raise HanjointError("joint decoding needs both syllable and grapheme lattices")
             result = joint_decode(
-                _load_normalized(utt.syll_path, format),
-                _load_normalized(utt.grap_path, format),
+                normalize(load_lattice(utt.syll_path)),
+                normalize(load_lattice(utt.grap_path)),
                 syll_vocab,
                 grap_vocab,
                 JointConfig(gamma=gamma, beam=beam_cfg),
@@ -209,7 +204,7 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k
         vocab = syll_vocab if use_level == "syllable" else grap_vocab
         if path is None:
             raise HanjointError(f"no {use_level} lattice present")
-        lattice = _load_normalized(path, format)
+        lattice = normalize(load_lattice(path))
 
         if mode == "greedy":
             raw = greedy_decode(lattice, vocab)
@@ -242,8 +237,7 @@ def cmd_decode(args) -> int:
 
     def work(utt):
         return _decode_one(
-            utt, args.mode, args.level, syll_vocab, grap_vocab, beam_cfg,
-            args.gamma, args.top_k, args.format,
+            utt, args.mode, args.level, syll_vocab, grap_vocab, beam_cfg, args.gamma, args.top_k
         )
 
     if threads == 1:
@@ -260,7 +254,6 @@ def cmd_decode(args) -> int:
             "beam": args.beam,
             "gamma": args.gamma,
             "top_k": args.top_k,
-            "format": args.format,
         },
         inputs=[str(corpus)],
         version=__version__,
@@ -356,8 +349,8 @@ def cmd_loss(args) -> int:
             continue
         try:
             result = multitask_loss(
-                load_lattice(utt.syll_path, args.format),
-                load_lattice(utt.grap_path, args.format),
+                load_lattice(utt.syll_path),
+                load_lattice(utt.grap_path),
                 utt.reference,
                 syll_vocab,
                 grap_vocab,
@@ -365,6 +358,9 @@ def cmd_loss(args) -> int:
             )
         except (OutOfVocabulary, InfeasibleLabel) as exc:
             records.append({"id": utt.id, "error": str(exc), "head": exc.head})
+            continue
+        except HanjointError as exc:
+            records.append({"id": utt.id, "error": str(exc)})
             continue
         totals.append(result.total)
         records.append(
@@ -632,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=100)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--top-k", type=int, default=1)
-    p.add_argument("--format", choices=("auto", "binary", "text"), default="auto")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: HANJOINT_THREADS or all usable cores)")
     p.add_argument("--out", default=None)
@@ -647,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loss", help="multi-task CTC loss over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--format", choices=("auto", "binary", "text"), default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_loss)
 

@@ -16,7 +16,15 @@ import numpy as np
 
 from . import _kernels
 from .errors import BlankInLabel, HanjointError, InfeasibleLabel, OutOfVocabulary
-from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, normalize, text_to_tokens, tokens_to_units
+from .lattice_io import (
+    BLANK_INDEX,
+    EmissionLattice,
+    Vocabulary,
+    normalize,
+    require_normalized,
+    text_to_tokens,
+    tokens_to_units,
+)
 
 NEG_INF = -np.inf
 
@@ -80,11 +88,6 @@ def _check_label(label: Sequence[int], vocab_size: int) -> None:
             raise HanjointError(f"token index {tok} outside vocabulary of size {vocab_size}")
 
 
-def _require_normalized(lattice: EmissionLattice) -> None:
-    if not lattice.normalized:
-        raise HanjointError("lattice must be normalized (log-probabilities)")
-
-
 def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> list[float]:
     """log p(label | lattice) of every label, in order, summed over all
     alignments, from one forward pass over the whole batch.
@@ -93,7 +96,7 @@ def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> 
     fit in the frame count score -inf; use :func:`label_feasible` to
     distinguish that case from underflow.
     """
-    _require_normalized(lattice)
+    require_normalized(lattice)
     for label in labels:
         _check_label(label, lattice.vocab_size)
     F = lattice.frames
@@ -130,11 +133,11 @@ def ctc_log_prob(lattice: EmissionLattice, label: Sequence[int]) -> float:
 def ctc_loss_and_grad(logits: EmissionLattice, label: Sequence[int]) -> HeadLoss:
     """Head log-probability and its gradient with respect to the logits.
 
-    Accepts raw logits or already-normalized lattices (log-softmax is
-    idempotent).  The gradient is the state-occupancy sum minus the softmax
-    posterior, frame by frame.
+    Accepts raw logits or already-normalized lattices (:func:`normalize`
+    returns the latter unchanged).  The gradient is the state-occupancy sum
+    minus the softmax posterior, frame by frame.
     """
-    lattice = logits if logits.normalized else normalize(logits)
+    lattice = normalize(logits)
     _check_label(label, lattice.vocab_size)
     F, V = lattice.scores.shape
     if F == 0:
@@ -186,8 +189,7 @@ def multitask_loss(
         if with_grad:
             heads[head] = ctc_loss_and_grad(logits, label)
         else:
-            lattice = logits if logits.normalized else normalize(logits)
-            heads[head] = HeadLoss(ctc_log_prob(lattice, label))
+            heads[head] = HeadLoss(ctc_log_prob(normalize(logits), label))
 
     lam = config.lam
     s, g = heads["syllable"], heads["grapheme"]
@@ -213,7 +215,7 @@ def collapse(path: Sequence[int]) -> list[int]:
 def greedy_decode(lattice: EmissionLattice, vocab: Vocabulary) -> str:
     """Collapse the per-frame argmax path (ties go to the lowest index) and
     render it as text with delimiters mapped to spaces."""
-    _require_normalized(lattice)
+    require_normalized(lattice)
     if lattice.frames == 0:
         return ""
     path = np.argmax(lattice.scores, axis=1)

@@ -14,12 +14,15 @@ Lattices ship in two interchangeable formats:
 * text: a header line ``F V [norm|raw]`` followed by F lines of V
   space-separated decimals.
 
-Values are stored as 32-bit floats on disk and widened to float64 in memory.
+:func:`load_lattice` tells them apart by the ``CTCL`` magic; any other file
+must be UTF-8 text.  The values of both are checked once, by
+:class:`EmissionLattice`.  Binary values are 32-bit floats; in memory all
+values are float64.  :func:`normalize` returns an already-normalized
+lattice unchanged, so callers apply it unconditionally.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,28 +138,34 @@ class EmissionLattice:
         return self.scores.shape[1]
 
 
-@dataclass
-class Utterance:
-    """One utterance: an id, optional reference text, and per-level lattices."""
-
-    id: str
-    reference: str | None = None
-    syllable_lattice: EmissionLattice | None = None
-    grapheme_lattice: EmissionLattice | None = None
-
-    def __post_init__(self):
-        if self.syllable_lattice is None and self.grapheme_lattice is None:
-            raise HanjointError(f"utterance {self.id!r} carries no lattice")
-
-
 def normalize(lattice: EmissionLattice) -> EmissionLattice:
-    """Log-softmax each row; idempotent on already-normalized lattices."""
+    """Log-softmax each row; a lattice already marked normalized is returned
+    as is."""
+    if lattice.normalized:
+        return lattice
     scores = lattice.scores
     if scores.shape[0] == 0:
         return EmissionLattice(scores.copy(), normalized=True)
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return EmissionLattice(shifted - log_z, normalized=True)
+
+
+def require_normalized(lattice: EmissionLattice) -> None:
+    """Reject raw logits where log-probabilities are needed."""
+    if not lattice.normalized:
+        raise HanjointError("lattice must be normalized (log-probabilities)")
+
+
+def _build(scores: np.ndarray, normalized: bool, path: str) -> EmissionLattice:
+    """The lattice of a parsed file; value errors other than a non-finite
+    score (which carries its position) are prefixed with the path."""
+    try:
+        return EmissionLattice(scores, normalized=normalized)
+    except NonFiniteScore:
+        raise
+    except HanjointError as exc:
+        raise HanjointError(f"{path}: {exc}") from exc
 
 
 def _parse_binary(data: bytes, path: str) -> EmissionLattice:
@@ -178,15 +187,14 @@ def _parse_binary(data: bytes, path: str) -> EmissionLattice:
         raise DimensionMismatch(f"{path}: {len(body) - expected} trailing bytes")
     values = np.frombuffer(body, dtype="<f4", count=frames * vocab)
     scores = values.astype(np.float64).reshape(frames, vocab)
+    return _build(scores, bool(flags & _FLAG_NORMALIZED), path)
+
+
+def _parse_text(data: bytes, path: str) -> EmissionLattice:
     try:
-        return EmissionLattice(scores, normalized=bool(flags & _FLAG_NORMALIZED))
-    except NonFiniteScore:
-        raise
-    except HanjointError as exc:
-        raise HanjointError(f"{path}: {exc}") from exc
-
-
-def _parse_text(text: str, path: str) -> EmissionLattice:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise BadMagic(f"{path}: neither a CTCL lattice nor UTF-8 text") from None
     lines = text.splitlines()
     if not lines:
         raise TruncatedFile(f"{path}: empty file")
@@ -212,18 +220,11 @@ def _parse_text(text: str, path: str) -> EmissionLattice:
         parts = line.split()
         if len(parts) != vocab:
             raise DimensionMismatch(f"{path}: row {f} has {len(parts)} values, expected {vocab}")
-        for v, part in enumerate(parts):
-            try:
-                value = float(part)
-            except ValueError as exc:
-                raise DimensionMismatch(f"{path}: row {f} value {part!r}") from exc
-            if not math.isfinite(value):
-                raise NonFiniteScore(f, v)
-            scores[f, v] = value
-    try:
-        return EmissionLattice(scores, normalized=normalized)
-    except HanjointError as exc:
-        raise HanjointError(f"{path}: {exc}") from exc
+        try:
+            scores[f] = parts  # numpy parses each string as float() does
+        except ValueError as exc:
+            raise DimensionMismatch(f"{path}: row {f}: {exc}") from exc
+    return _build(scores, normalized, path)
 
 
 def load_lattice(path: str | Path, format: str = "auto") -> EmissionLattice:
@@ -235,7 +236,7 @@ def load_lattice(path: str | Path, format: str = "auto") -> EmissionLattice:
     if format == "binary":
         return _parse_binary(data, str(path))
     if format == "text":
-        return _parse_text(data.decode("utf-8"), str(path))
+        return _parse_text(data, str(path))
     raise ValueError(f"unknown lattice format {format!r}")
 
 

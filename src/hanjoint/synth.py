@@ -24,6 +24,8 @@ from .lattice_io import (
     BLANK_INDEX,
     EmissionLattice,
     Vocabulary,
+    normalize,
+    require_normalized,
     text_to_units,
     tokens_to_text,
 )
@@ -60,8 +62,7 @@ class SynthSpec:
 
 def brute_force_all(lattice: EmissionLattice) -> dict[tuple[int, ...], float]:
     """Total probability mass per collapsed label, by path enumeration."""
-    if not lattice.normalized:
-        raise HanjointError("lattice must be normalized (log-probabilities)")
+    require_normalized(lattice)
     F, V = lattice.scores.shape
     if V**F > ENUMERATION_GUARD:
         raise TooLarge(f"{V}^{F} paths exceed the enumeration guard")
@@ -108,10 +109,7 @@ def brute_force_best(
 
 def random_lattice(rng: np.random.Generator, frames: int, vocab_size: int, scale: float = 1.0) -> EmissionLattice:
     """Normalized lattice with Gaussian logits; ties have probability zero."""
-    logits = rng.normal(0.0, scale, size=(frames, vocab_size))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return EmissionLattice(shifted - logz, normalized=True)
+    return normalize(EmissionLattice(rng.normal(0.0, scale, size=(frames, vocab_size))))
 
 
 def _peaked_row(vocab_size: int, token: int | None, noise: float) -> np.ndarray:

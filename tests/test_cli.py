@@ -131,6 +131,20 @@ def test_corrupted_lattice_is_reported(corpus, tmp_path):
     assert "error" in records["utt0000"]
 
 
+def test_unknown_magic_is_a_per_utterance_error(corpus, tmp_path):
+    # neither CTCL nor UTF-8 text
+    path = corpus / "utt0001.syll.lat"
+    path.write_bytes(b"CTCX" + path.read_bytes()[4:])
+    out = tmp_path / "dec.jsonl"
+    code = main(["decode", "--corpus", str(corpus), "--mode", "beam", "--level", "syllable",
+                 "--beam", "5", "--out", str(out)])
+    assert code == 1
+    records = {r["id"]: r for r in read_records(out)}
+    assert "utt0001.syll.lat" in records["utt0001"]["error"]
+    assert "UTF-8" in records["utt0001"]["error"]
+    assert all("hypotheses" in records[u] for u in ("utt0000", "utt0002", "utt0003"))
+
+
 def test_missing_corpus_is_config_error(tmp_path):
     assert main(["decode", "--corpus", str(tmp_path / "nope"), "--mode", "greedy"]) == 2
 
@@ -213,6 +227,21 @@ def test_loss_records(corpus, tmp_path):
             (r["syllable_log_prob"] + r["grapheme_log_prob"]) / 2, abs=1e-12
         )
     assert "corpus_mean_total" in records[-1]
+
+
+def test_loss_bad_lattice_is_a_per_utterance_error(corpus, tmp_path):
+    path = corpus / "utt0001.grap.lat"
+    path.write_bytes(path.read_bytes()[:-4])
+    out = tmp_path / "loss.jsonl"
+    code = main(["loss", "--corpus", str(corpus), "--out", str(out)])
+    assert code == 1
+    records = read_records(out)
+    by_id = {r["id"]: r for r in records if "id" in r}
+    assert "utt0001.grap.lat" in by_id["utt0001"]["error"]
+    assert "head" not in by_id["utt0001"]
+    assert by_id["utt0000"]["head"] == by_id["utt0002"]["head"] == "syllable"
+    assert "total" in by_id["utt0003"]
+    assert records[-1] == {"corpus_mean_total": by_id["utt0003"]["total"], "scored": 1}
 
 
 def test_loss_lambda_endpoint(corpus, tmp_path):

@@ -17,7 +17,6 @@ from hanjoint.errors import (
 )
 from hanjoint.lattice_io import (
     EmissionLattice,
-    Utterance,
     Vocabulary,
     load_lattice,
     normalize,
@@ -96,6 +95,13 @@ def test_text_round_trip(tmp_path):
     loaded = load_lattice(path, "text")
     np.testing.assert_array_equal(loaded.scores, lattice.scores)
 
+    # nine significant digits, the way perfbench/corpus.py writes text lattices
+    rows = [["%.9g" % x for x in row] for row in rng.normal(scale=30.0, size=(5, 4))]
+    path.write_text("5 4 raw\n" + "".join(" ".join(row) + "\n" for row in rows))
+    expected = np.array([[float(x) for x in row] for row in rows])
+    loaded = load_lattice(path, "text")
+    assert loaded.scores.tobytes() == expected.tobytes()
+
 
 def test_format_autodetect(tmp_path):
     lattice = EmissionLattice(np.ones((2, 2)))
@@ -140,6 +146,12 @@ def test_binary_errors(tmp_path):
     with pytest.raises(BadMagic):
         load_lattice(flagged)
 
+    # without the magic and not UTF-8 either: not read as a text lattice
+    unknown = tmp_path / "ctcx.lat"
+    unknown.write_bytes(b"CTCX" + data[4:14] + np.full(6, -1.5, dtype="<f4").tobytes())
+    with pytest.raises(BadMagic, match="ctcx.lat"):
+        load_lattice(unknown)
+
 
 def test_nan_rejected(tmp_path):
     path = tmp_path / "nan.txt"
@@ -147,6 +159,15 @@ def test_nan_rejected(tmp_path):
     with pytest.raises(NonFiniteScore) as info:
         load_lattice(path, "text")
     assert (info.value.frame, info.value.index) == (0, 1)
+
+    scores = np.zeros((2, 3), dtype=np.float32)
+    scores[1, 2] = np.nan
+    binary = tmp_path / "nan.lat"
+    save_lattice(EmissionLattice(np.zeros((2, 3))), binary, "binary")
+    binary.write_bytes(binary.read_bytes()[:14] + scores.astype("<f4").tobytes())
+    with pytest.raises(NonFiniteScore) as info:
+        load_lattice(binary, "binary")
+    assert (info.value.frame, info.value.index) == (1, 2)
 
 
 def test_text_dimension_errors(tmp_path):
@@ -157,6 +178,9 @@ def test_text_dimension_errors(tmp_path):
     path.write_text("1 2 raw\n0 0 0\n")
     with pytest.raises(DimensionMismatch):
         load_lattice(path, "text")
+    path.write_text("1 2 raw\n0 x\n")
+    with pytest.raises(DimensionMismatch):
+        load_lattice(path, "text")
 
 
 def test_normalize():
@@ -164,8 +188,7 @@ def test_normalize():
     np.testing.assert_allclose(lattice.scores[0], [math.log(0.5)] * 2)
     assert lattice.normalized
 
-    again = normalize(lattice)
-    np.testing.assert_allclose(again.scores, lattice.scores, atol=1e-9)
+    assert normalize(lattice) is lattice
 
     big = normalize(EmissionLattice(np.array([[1000.0, 0.0]])))
     assert big.scores[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -176,12 +199,6 @@ def test_normalize():
 def test_normalized_flag_is_checked():
     with pytest.raises(HanjointError):
         EmissionLattice(np.zeros((1, 3)), normalized=True)
-
-
-def test_utterance_needs_a_lattice():
-    with pytest.raises(HanjointError):
-        Utterance("u1")
-    Utterance("u2", syllable_lattice=EmissionLattice(np.zeros((1, 2))))
 
 
 VOCAB = Vocabulary(("<ctc_blank>", "|", "가", "나"))
