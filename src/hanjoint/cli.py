@@ -220,7 +220,7 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k
                 for text, log_prob in beam_decode_texts(lattice, vocab, use_level, beam_cfg)[:top_k]
             ]
         return {"id": utt.id, "mode": mode, "level": use_level, "hypotheses": hyps}
-    except HanjointError as exc:
+    except (HanjointError, OSError) as exc:  # an OSError names the file it could not read
         return {"id": utt.id, "mode": mode, "error": str(exc)}
 
 
@@ -359,7 +359,7 @@ def cmd_loss(args) -> int:
         except (OutOfVocabulary, InfeasibleLabel) as exc:
             records.append({"id": utt.id, "error": str(exc), "head": exc.head})
             continue
-        except HanjointError as exc:
+        except (HanjointError, OSError) as exc:
             records.append({"id": utt.id, "error": str(exc)})
             continue
         totals.append(result.total)

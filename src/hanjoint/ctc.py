@@ -10,6 +10,7 @@ log-probabilities of one reference with a trade-off weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -88,9 +89,45 @@ def _check_label(label: Sequence[int], vocab_size: int) -> None:
             raise HanjointError(f"token index {tok} outside vocabulary of size {vocab_size}")
 
 
+def _label_trie(labels: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Prefix trie of the labels, nodes in depth order: node 0 is the root
+    (the empty prefix), node n > 0 extends ``parent[n]`` by ``token[n]`` at
+    depth ``depth[n]``, and label i ends at node ``ends[i]``.
+
+    Sorted, labels that share a prefix are neighbours.  Entry (d, j) of a
+    depth x label grid is the length-(d+1) prefix of the j-th sorted label;
+    it is a new node unless label j-1 has the same prefix.  Numbering the new
+    entries row by row puts the nodes in depth order, and a shared entry
+    takes the number of its left neighbour, which is the largest so far in
+    its row.  No step loops over tokens in Python, so one label, or labels
+    that share nothing, cost a few array operations.
+    """
+    keys = [tuple(label) for label in labels]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    lengths = np.fromiter((len(keys[i]) for i in order), dtype=np.int64, count=len(order))
+    valid = np.arange(int(lengths.max()))[:, None] < lengths
+    grid = np.zeros(valid.shape, dtype=np.int64)
+    grid.T[valid.T] = np.fromiter(chain.from_iterable(keys[i] for i in order), dtype=np.int64)
+
+    same = grid[:, 1:] == grid[:, :-1]
+    shared = np.logical_and.accumulate(same & valid[:, 1:] & valid[:, :-1], axis=0)
+    new = valid.copy()
+    new[:, 1:] &= ~shared
+    nodes = np.zeros((valid.shape[0] + 1, len(order)), dtype=np.int64)  # row d: node at depth d
+    nodes[1:][new] = np.arange(1, np.count_nonzero(new) + 1)
+    np.maximum.accumulate(nodes, axis=1, out=nodes)
+    depth = np.broadcast_to(np.arange(1, nodes.shape[0])[:, None], valid.shape)
+
+    ends = np.zeros(len(order), dtype=np.int64)
+    ends[order] = nodes[lengths, np.arange(len(order))]
+    root = np.zeros(1, dtype=np.int64)
+    return (np.concatenate((root, nodes[:-1][new])), np.concatenate((root, grid[new])),
+            np.concatenate((root, depth[new])), ends)
+
+
 def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> list[float]:
     """log p(label | lattice) of every label, in order, summed over all
-    alignments, from one forward pass over the whole batch.
+    alignments, from one forward pass over a prefix trie of the batch.
 
     Every label is checked before any scoring starts.  Labels that do not
     fit in the frame count score -inf; use :func:`label_feasible` to
@@ -99,27 +136,16 @@ def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> 
     require_normalized(lattice)
     for label in labels:
         _check_label(label, lattice.vocab_size)
-    F = lattice.frames
-    if F == 0:
-        return [0.0 if len(label) == 0 else NEG_INF for label in labels]
     totals = [NEG_INF] * len(labels)
-    live = [i for i, label in enumerate(labels) if label_feasible(label, F)]
+    live = [i for i, label in enumerate(labels) if label_feasible(label, lattice.frames)]
     if not live:
         return totals
 
-    lengths = np.array([len(labels[i]) for i in live])
-    ext = np.full((len(live), 2 * lengths.max() + 1), BLANK_INDEX, dtype=np.int64)
-    for row, i in enumerate(live):
-        ext[row, 1 : 2 * lengths[row] : 2] = labels[i]
-    skip = np.zeros(ext.shape, dtype=np.bool_)
-    # as in extended_states; past a label's end it only reaches padded states
-    skip[:, 3::2] = ext[:, 3::2] != ext[:, 1:-2:2]
-    last = _kernels.ctc_alpha_last_batch(lattice.scores, ext, skip)
-
-    rows = np.arange(len(live))
-    final = last[rows, 2 * lengths]
-    nonempty = lengths > 0
-    final[nonempty] = np.logaddexp(final[nonempty], last[rows[nonempty], 2 * lengths[nonempty] - 1])
+    parent, token, depth, ends = _label_trie([labels[i] for i in live])
+    last = _kernels.ctc_alpha_last_trie(lattice.scores, parent, token, depth)
+    final = last[2 * ends]
+    nonempty = ends > 0
+    final[nonempty] = np.logaddexp(final[nonempty], last[2 * ends[nonempty] - 1])
     for i, total in zip(live, final.tolist()):
         totals[i] = total
     return totals

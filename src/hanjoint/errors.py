@@ -48,10 +48,11 @@ class TruncatedFile(HanjointError):
 
 
 class NonFiniteScore(HanjointError):
-    def __init__(self, frame: int, index: int):
+    def __init__(self, frame: int, index: int, path: str | None = None):
         self.frame = frame
         self.index = index
-        super().__init__(f"non-finite score at frame {frame}, index {index}")
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}non-finite score at frame {frame}, index {index}")
 
 
 class DimensionMismatch(HanjointError):

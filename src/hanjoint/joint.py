@@ -2,9 +2,11 @@
 
 Both beams are searched independently, grapheme hypotheses are composed
 into syllable text (non-composable ones are dropped and counted), the union
-is deduplicated by text, and the whole union is rescored with one batched
-CTC forward pass per lattice.  The joint score mixes the two posteriors in
-the probability domain:
+is deduplicated by text, and the whole union is rescored with one CTC
+forward pass per lattice.  That pass runs over a prefix trie of the union's
+labels, so candidates that share a prefix (most beam survivors do) share
+its states.  The joint score mixes the two posteriors in the probability
+domain:
 
     score(Y) = log( gamma * p_syll(Y) + (1 - gamma) * p_grap(Y) )
 
@@ -69,8 +71,8 @@ def _rescore(
     gamma: float,
 ) -> list[ScoredCandidate]:
     """Score (text, provenance) pairs against both lattices, with one
-    batched forward pass per lattice; a text out of vocabulary at a level
-    gets None there."""
+    forward pass per lattice over all of them; a text out of vocabulary at a
+    level gets None there."""
     heads = []
     for lattice, vocab, level in (
         (syll_lattice, syll_vocab, "syllable"),

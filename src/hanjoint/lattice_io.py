@@ -158,12 +158,12 @@ def require_normalized(lattice: EmissionLattice) -> None:
 
 
 def _build(scores: np.ndarray, normalized: bool, path: str) -> EmissionLattice:
-    """The lattice of a parsed file; value errors other than a non-finite
-    score (which carries its position) are prefixed with the path."""
+    """The lattice of a parsed file; a value error names the path, and a
+    non-finite score keeps its type and position."""
     try:
         return EmissionLattice(scores, normalized=normalized)
-    except NonFiniteScore:
-        raise
+    except NonFiniteScore as exc:
+        raise NonFiniteScore(exc.frame, exc.index, path) from None
     except HanjointError as exc:
         raise HanjointError(f"{path}: {exc}") from exc
 

@@ -37,8 +37,10 @@ _LETTERS = ("<ctc_blank>", "|", "a", "b")
 
 
 def check_ctc_oracle(instances: int = 200, seed: int = 1001) -> CheckResult:
-    """Each instance scores a mixed-length batch of labels in one forward
-    pass, so a label padded to the batch's longest is checked too."""
+    """Each instance scores a batch of up to 4 labels of length <= 3 in one
+    forward pass over their prefix trie.  The labels grow from one shared
+    stem, so shared prefixes, duplicates, labels that are prefixes of
+    others, and the empty label are checked against enumeration too."""
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
@@ -47,10 +49,11 @@ def check_ctc_oracle(instances: int = 200, seed: int = 1001) -> CheckResult:
         F = int(rng.integers(1, 7))
         V = int(rng.integers(2, 5))
         lattice = random_lattice(rng, F, V)
-        labels = [
-            [int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 4)))]
-            for _ in range(int(rng.integers(1, 5)))
-        ]
+        stem = [int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 4)))]
+        labels = []
+        for _ in range(int(rng.integers(1, 5))):
+            label = stem[: int(rng.integers(0, len(stem) + 1))]
+            labels.append(label + [int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 4 - len(label))))])
         for label, got in zip(labels, ctc_log_probs(lattice, labels)):
             scored += 1
             expected = brute_force_ctc(lattice, label)

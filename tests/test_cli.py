@@ -244,6 +244,44 @@ def test_loss_bad_lattice_is_a_per_utterance_error(corpus, tmp_path):
     assert records[-1] == {"corpus_mean_total": by_id["utt0003"]["total"], "scored": 1}
 
 
+def test_unreadable_lattice_is_a_per_utterance_error(tmp_path):
+    texts_file = tmp_path / "texts.txt"
+    texts_file.write_text("\n".join(TEXTS[:3]) + "\n", encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--texts", str(texts_file), "--seed", "7", "--out", str(corpus)]) == 0
+    path = corpus / "utt0001.syll.lat"
+    path.unlink()
+    path.mkdir()  # reading it raises an OSError, not a HanjointError
+    out = tmp_path / "dec.jsonl"
+    code = main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
+                 "--out", str(out)])
+    assert code == 1
+    records = {r["id"]: r for r in read_records(out)}
+    assert list(records) == ["utt0000", "utt0001", "utt0002"]
+    assert "utt0001.syll.lat" in records["utt0001"]["error"]
+    assert "hypotheses" in records["utt0000"] and "hypotheses" in records["utt0002"]
+
+    out = tmp_path / "loss.jsonl"
+    assert main(["loss", "--corpus", str(corpus), "--out", str(out)]) == 1
+    by_id = {r["id"]: r for r in read_records(out) if "id" in r}
+    assert "utt0001.syll.lat" in by_id["utt0001"]["error"]
+    assert "total" in by_id["utt0000"] and "total" in by_id["utt0002"]
+
+
+def test_loss_non_finite_score_names_its_file(corpus, tmp_path):
+    path = corpus / "utt0001.grap.lat"
+    data = bytearray(path.read_bytes())
+    at = 14 + 4 * (load_lattice(path).vocab_size + 3)  # CTCL header, then float32 row by row
+    data[at : at + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+    out = tmp_path / "loss.jsonl"
+    assert main(["loss", "--corpus", str(corpus), "--out", str(out)]) == 1
+    by_id = {r["id"]: r for r in read_records(out) if "id" in r}
+    error = by_id["utt0001"]["error"]
+    assert "utt0001.grap.lat" in error and "non-finite score at frame 1, index 3" in error
+    assert "total" in by_id["utt0003"]
+
+
 def test_loss_lambda_endpoint(corpus, tmp_path):
     out = tmp_path / "loss1.jsonl"
     main(["loss", "--corpus", str(corpus), "--lambda", "1.0", "--out", str(out)])

@@ -6,6 +6,7 @@ import pytest
 from hanjoint import _kernels
 from hanjoint.ctc import (
     MultiTaskLossConfig,
+    _label_trie,
     collapse,
     ctc_log_prob,
     ctc_log_probs,
@@ -132,6 +133,55 @@ def test_batch_equals_loop_reference_exactly():
         # long for the frame count ride in every batch
         labels += [[], [1, 1, 1], [1] * (F + 1)]
         assert ctc_log_probs(lattice, labels) == [loop_reference(lattice, label) for label in labels]
+
+
+def test_trie_edge_cases_equal_loop_reference_exactly():
+    rng = np.random.default_rng(67)
+    stem = [1, 2, 3, 1, 2]
+    labels = [
+        stem + [4, 1, 3], stem + [4, 1], stem + [4, 2],  # deep shared prefixes
+        stem, stem, [1, 2, 3],  # duplicates, and labels that are prefixes of others
+        stem + [2], stem + [2, 2, 4],  # a repeated token right after the shared prefix
+        [], [1], [1, 1], [2, 1],
+        [3] * 60, stem * 12,  # infeasible for every frame count below
+    ]
+    for F in (1, 2, 3, 7, 16, 41):
+        lattice = random_lattice(rng, F, 5)
+        expected = [loop_reference(lattice, label) for label in labels]
+        assert ctc_log_probs(lattice, labels) == expected
+        assert ctc_log_probs(lattice, labels[::-1]) == expected[::-1]
+        assert [ctc_log_prob(lattice, label) for label in labels] == expected
+
+
+def test_trie_on_random_shared_prefixes_equals_loop_reference_exactly():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        F = int(rng.integers(1, 25))
+        V = int(rng.integers(2, 5))
+        lattice = random_lattice(rng, F, V)
+        stems = [[int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 10)))] for _ in range(3)]
+        labels = []
+        for _ in range(int(rng.integers(1, 30))):
+            stem = stems[int(rng.integers(0, 3))]
+            labels.append(stem[: int(rng.integers(0, len(stem) + 1))]
+                          + [int(rng.integers(1, V)) for _ in range(int(rng.integers(0, 4)))])
+        assert ctc_log_probs(lattice, labels) == [loop_reference(lattice, label) for label in labels]
+
+
+def test_label_trie_holds_each_prefix_once_in_depth_order():
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        labels = [[int(rng.integers(1, 4)) for _ in range(int(rng.integers(0, 7)))]
+                  for _ in range(int(rng.integers(1, 20)))]
+        parent, token, depth, ends = _label_trie(labels)
+        prefixes = [()]
+        for n in range(1, len(parent)):
+            assert parent[n] < n and depth[n] == depth[parent[n]] + 1
+            prefixes.append(prefixes[parent[n]] + (int(token[n]),))
+        assert np.all(np.diff(depth) >= 0)
+        assert len(set(prefixes)) == len(prefixes)
+        assert set(prefixes) == {tuple(label[:d]) for label in labels for d in range(len(label) + 1)}
+        assert [prefixes[e] for e in ends] == [tuple(label) for label in labels]
 
 
 def test_batch_infeasible_and_zero_frames():
