@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HanjointError
+from .errors import ConfigError, HanjointError
 from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, require_normalized
 
 NEG_INF = -np.inf
@@ -49,7 +49,7 @@ class BeamConfig:
 
     def __post_init__(self):
         if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+            raise ConfigError("beam_width must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Command-line interface.
 
 Subcommands: ``synth`` builds a synthetic corpus on disk, ``decode`` runs
-greedy/beam/joint decoding over a corpus directory, ``eval`` scores
-hypotheses against references, ``loss`` computes the multi-task loss,
-``vocab-stats`` and ``oov-report`` reproduce the vocabulary/OOV accounting
-tables, and ``selfcheck`` replays the oracle validation suites.
+greedy/beam/joint decoding over a corpus directory, one utterance at a
+time in corpus order, ``eval`` scores hypotheses against references,
+``loss`` computes the multi-task loss, ``vocab-stats`` and ``oov-report``
+reproduce the vocabulary/OOV accounting tables, and ``selfcheck`` replays
+the oracle validation suites.
 
 Machine output is line-delimited JSON with sorted keys; every file-producing
 run also writes a ``<out>.manifest.json`` capturing the exact configuration,
 and re-running a command with the same arguments reproduces the output
 byte for byte.  Exit codes: 0 on success, 1 when any utterance failed,
-2 on configuration or file-format errors.
+2 on configuration or file-format errors.  A flag value out of range
+(``--beam`` or ``--top-k`` below 1, ``--gamma`` or ``--lambda`` outside
+[0, 1]) is a configuration error, reported before any lattice is read.
 
 A corpus directory contains ``syllable.vocab``, ``grapheme.vocab``,
 ``refs.tsv`` (id<TAB>text), and per-utterance ``<id>.syll.lat`` /
@@ -22,9 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -78,20 +79,6 @@ def _emit(lines: list[str], out: str | None, manifest: RunManifest | None = None
         path.write_text(text, encoding="utf-8")
         if manifest is not None:
             manifest.write(path)
-
-
-def _thread_count(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("HANJOINT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise HanjointError(f"HANJOINT_THREADS must be an integer, got {env!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _read_refs(path: Path) -> dict[str, str]:
@@ -170,7 +157,7 @@ def _scan_corpus(corpus: Path) -> tuple[Vocabulary | None, Vocabulary | None, li
 # decode
 # ---------------------------------------------------------------------------
 
-def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k):
+def _decode_one(utt, mode, level, syll_vocab, grap_vocab, config, top_k):
     try:
         if mode == "joint":
             if utt.syll_path is None or utt.grap_path is None:
@@ -180,7 +167,7 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k
                 normalize(load_lattice(utt.grap_path)),
                 syll_vocab,
                 grap_vocab,
-                JointConfig(gamma=gamma, beam=beam_cfg),
+                config,
             )
             hyps = [
                 {
@@ -204,6 +191,8 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k
         vocab = syll_vocab if use_level == "syllable" else grap_vocab
         if path is None:
             raise HanjointError(f"no {use_level} lattice present")
+        if vocab is None:
+            raise HanjointError(f"no {use_level} vocabulary in the corpus")
         lattice = normalize(load_lattice(path))
 
         if mode == "greedy":
@@ -217,7 +206,7 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k
         else:  # beam
             hyps = [
                 {"text": text, "log_prob": log_prob, "level": use_level}
-                for text, log_prob in beam_decode_texts(lattice, vocab, use_level, beam_cfg)[:top_k]
+                for text, log_prob in beam_decode_texts(lattice, vocab, use_level, config.beam)[:top_k]
             ]
         return {"id": utt.id, "mode": mode, "level": use_level, "hypotheses": hyps}
     except (HanjointError, OSError) as exc:  # an OSError names the file it could not read
@@ -225,26 +214,20 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, beam_cfg, gamma, top_k
 
 
 def cmd_decode(args) -> int:
+    config = JointConfig(gamma=args.gamma, beam=BeamConfig(beam_width=args.beam))
+    if args.top_k < 1:
+        raise HanjointError(f"--top-k must be >= 1, got {args.top_k}")
     corpus = Path(args.corpus)
     syll_vocab, grap_vocab, utterances = _scan_corpus(corpus)
     if not utterances:
         raise HanjointError(f"no utterances found in {corpus}")
-    if args.mode in ("joint",) and (syll_vocab is None or grap_vocab is None):
+    if args.mode == "joint" and (syll_vocab is None or grap_vocab is None):
         raise HanjointError("joint decoding needs both vocabularies in the corpus")
 
-    beam_cfg = BeamConfig(beam_width=args.beam)
-    threads = _thread_count(args.threads)
-
-    def work(utt):
-        return _decode_one(
-            utt, args.mode, args.level, syll_vocab, grap_vocab, beam_cfg, args.gamma, args.top_k
-        )
-
-    if threads == 1:
-        records = [work(u) for u in utterances]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, utterances))
+    records = [
+        _decode_one(utt, args.mode, args.level, syll_vocab, grap_vocab, config, args.top_k)
+        for utt in utterances
+    ]
 
     manifest = RunManifest(
         command="decode",
@@ -332,11 +315,11 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_loss(args) -> int:
+    config = MultiTaskLossConfig(args.lam)
     corpus = Path(args.corpus)
     syll_vocab, grap_vocab, utterances = _scan_corpus(corpus)
     if syll_vocab is None or grap_vocab is None:
         raise HanjointError("loss needs both vocabularies in the corpus")
-    config = MultiTaskLossConfig(args.lam)
 
     records = []
     totals = []
@@ -620,16 +603,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hanjoint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decode", help="decode a corpus directory")
+    p = sub.add_parser(
+        "decode", help="decode a corpus directory",
+        description="Decode every utterance of a corpus directory, one at a time, in corpus order.",
+    )
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=("greedy", "beam", "joint"), default="joint")
     p.add_argument("--level", choices=("syllable", "grapheme"), default=None,
                    help="lattice level for greedy/beam modes (default: syllable when present)")
     p.add_argument("--beam", type=int, default=100)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--top-k", type=int, default=1)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: HANJOINT_THREADS or all usable cores)")
+    p.add_argument("--top-k", type=int, default=1, help="hypotheses per utterance (>= 1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decode)
 

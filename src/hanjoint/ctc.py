@@ -9,6 +9,7 @@ log-probabilities of one reference with a trade-off weight.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BlankInLabel, HanjointError, InfeasibleLabel, OutOfVocabulary
+from .errors import BlankInLabel, ConfigError, HanjointError, InfeasibleLabel, OutOfVocabulary
 from .lattice_io import (
     BLANK_INDEX,
     EmissionLattice,
@@ -38,7 +39,7 @@ class MultiTaskLossConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
+            raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
 
 
 @dataclass
@@ -67,8 +68,9 @@ class LossResult:
 def label_feasible(label: Sequence[int], frames: int) -> bool:
     """True when ``frames`` suffice to emit the label: repeats of the same
     token need a separating blank frame."""
-    repeats = sum(1 for a, b in zip(label, label[1:]) if a == b)
-    return frames >= len(label) + repeats
+    n = len(label)
+    # At most n - 1 repeats, so only a label longer than frames / 2 needs them counted.
+    return frames >= 2 * n or frames >= n + sum(map(operator.eq, label, label[1:]))
 
 
 def extended_states(label: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

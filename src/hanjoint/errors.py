@@ -5,6 +5,10 @@ class HanjointError(Exception):
     """Base class for all hanjoint errors."""
 
 
+class ConfigError(HanjointError, ValueError):
+    """A configuration value is out of range; the CLI exits 2 on it."""
+
+
 # ---- hangul ----
 
 class InvalidSyllable(HanjointError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .beam import BeamConfig, Hypothesis, prefix_beam_search
 # ctc_log_prob is importable here because perfbench/layers.py traces joint.ctc_log_prob.
 from .ctc import ctc_log_prob, ctc_log_probs  # noqa: F401
-from .errors import BothBeamsEmpty, OutOfVocabulary
+from .errors import BothBeamsEmpty, ConfigError, OutOfVocabulary
 from .hangul import try_compose
 from .lattice_io import EmissionLattice, Vocabulary, text_to_tokens, tokens_to_units
 
@@ -37,7 +37,7 @@ class JointConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hangul
 from .ctc import collapse
-from .errors import HanjointError, OutOfVocabulary, TooLarge, UncoverableHoldout
+from .errors import ConfigError, HanjointError, OutOfVocabulary, TooLarge, UncoverableHoldout
 from .lattice_io import (
     BLANK_INDEX,
     EmissionLattice,
@@ -53,11 +53,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.frames_per_token < 1:
-            raise ValueError("frames_per_token must be >= 1")
+            raise ConfigError("frames_per_token must be >= 1")
         if self.blank_gap < 0:
-            raise ValueError("blank_gap must be >= 0")
+            raise ConfigError("blank_gap must be >= 0")
         if not 0.0 <= self.noise < 1.0:
-            raise ValueError("noise must lie in [0, 1)")
+            raise ConfigError("noise must lie in [0, 1)")
 
 
 def brute_force_all(lattice: EmissionLattice) -> dict[tuple[int, ...], float]:

@@ -1,11 +1,10 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
 from hanjoint.beam import BeamConfig, prefix_beam_search
-from hanjoint.cli import _thread_count, main
+from hanjoint.cli import main
 from hanjoint.joint import beam_decode_texts, hypothesis_text
 from hanjoint.lattice_io import EmissionLattice, Vocabulary, load_lattice, save_lattice
 
@@ -92,14 +91,50 @@ def test_joint_decode_recovers_holdout(corpus, tmp_path):
         assert record["hypotheses"][0]["text"] == refs[record["id"]]
 
 
-def test_decode_deterministic_across_threads(corpus, tmp_path):
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"dec_{threads}.jsonl"
-        assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "10",
-                     "--threads", threads, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("argv", [
+    ["decode", "--mode", "joint", "--beam", "10"],
+    ["decode", "--mode", "beam", "--level", "grapheme", "--top-k", "5", "--beam", "10"],
+    ["decode", "--mode", "greedy"],
+    ["loss"],
+], ids=["joint", "beam-grapheme-top5", "greedy", "loss"])
+def test_rerun_is_byte_identical(corpus, tmp_path, argv):
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"run{k}.jsonl"
+        code = main([argv[0], "--corpus", str(corpus), *argv[1:], "--out", str(out)])
+        manifest = tmp_path / f"run{k}.jsonl.manifest.json"
+        runs.append((code, out.read_bytes(), manifest.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decode", "--beam", "0"], "beam_width must be >= 1"),
+    (["decode", "--mode", "joint", "--gamma", "2"], "gamma must lie in [0, 1], got 2.0"),
+    (["loss", "--lambda", "2"], "lambda must lie in [0, 1], got 2.0"),
+    (["decode", "--mode", "beam", "--top-k", "-1"], "--top-k must be >= 1, got -1"),
+    (["decode", "--mode", "beam", "--top-k", "0"], "--top-k must be >= 1, got 0"),
+], ids=["beam-0", "gamma-2", "lambda-2", "top-k-minus-1", "top-k-0"])
+def test_out_of_range_flag_is_config_error(corpus, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.jsonl"
+    code = main([argv[0], "--corpus", str(corpus), *argv[1:], "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["beam", "greedy"])
+def test_missing_level_vocabulary_is_a_per_utterance_error(corpus, tmp_path, mode):
+    (corpus / "syllable.vocab").unlink()
+    out = tmp_path / "dec.jsonl"
+    code = main(["decode", "--corpus", str(corpus), "--mode", mode, "--level", "syllable",
+                 "--beam", "5", "--out", str(out)])
+    assert code == 1
+    records = read_records(out)
+    assert [r["id"] for r in records] == [f"utt{k:04d}" for k in range(len(TEXTS))]
+    assert all(r["error"] == "no syllable vocabulary in the corpus" for r in records)
+    # the grapheme level is still decoded from the same corpus
+    assert main(["decode", "--corpus", str(corpus), "--mode", mode, "--level", "grapheme",
+                 "--beam", "5", "--out", str(out)]) == 0
 
 
 def test_decode_writes_manifest(corpus, tmp_path):
@@ -376,16 +411,6 @@ def test_beam_grapheme_top_k_skips_non_composable(tmp_path):
                 for text, lp in beam_decode_texts(lattice, vocab, "grapheme", config)[:3]]
     assert len(expected) == 3 and expected[0]["text"] == "가"
     assert read_records(out)[0]["hypotheses"] == expected
-
-
-def test_default_threads_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("HANJOINT_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _thread_count(None) == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert _thread_count(None) == 8
-    assert _thread_count(3) == 3
 
 
 def test_vocab_stats_table_shape(tmp_path, capsys):

@@ -47,6 +47,16 @@ def test_infeasible_repeat():
     assert label_feasible([1, 1], 3)
 
 
+def test_label_feasible_counts_repeats_near_the_frame_limit():
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        label = rng.integers(1, 3, size=int(rng.integers(0, 9)))
+        needed = len(label) + sum(int(a == b) for a, b in zip(label, label[1:]))
+        for frames in (needed - 1, needed, 2 * len(label) - 1, 2 * len(label)):
+            assert label_feasible(label, frames) == (frames >= needed)
+            assert label_feasible(tuple(label.tolist()), frames) == (frames >= needed)
+
+
 def test_blank_in_label_rejected():
     with pytest.raises(BlankInLabel):
         ctc_log_prob(uniform_lattice(2, 2), [0])
