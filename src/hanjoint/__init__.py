@@ -26,6 +26,7 @@ from .joint import (
     beam_decode_texts,
     joint_decode,
     rescore_candidate,
+    tokens_to_text,
 )
 from .lattice_io import (
     EmissionLattice,
@@ -34,7 +35,6 @@ from .lattice_io import (
     normalize,
     save_lattice,
     text_to_tokens,
-    tokens_to_text,
 )
 from .metrics import EditSummary, EvalReport, cer, levenshtein, space_normalize, swer, wer
 from .synth import SynthSpec, brute_force_best, brute_force_ctc, gen_lattice, gen_oov_corpus

@@ -36,7 +36,7 @@ from . import __version__, hangul, selfcheck
 from .beam import BeamConfig, prefix_beam_search  # noqa: F401
 from .ctc import MultiTaskLossConfig, greedy_decode, multitask_loss
 from .errors import EmptyReference, HanjointError, InfeasibleLabel, OutOfVocabulary, UnmatchedId
-from .joint import JointConfig, beam_decode_texts, joint_decode
+from .joint import JointConfig, beam_decode_texts, joint_decode, tokens_to_text
 from .lattice_io import (
     Vocabulary,
     load_lattice,
@@ -91,19 +91,28 @@ def _read_refs(path: Path) -> dict[str, str]:
     return refs
 
 
-def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str]]:
+def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str], str | None]:
     """TSV id<TAB>text, or decode JSONL (top-1 hypothesis per record).
 
-    Returns the hypotheses and, separately, the error of every decode
-    record that failed."""
+    Returns the hypotheses, the error of every decode record that failed,
+    and the decode mode: that of the first JSON record without an error,
+    as ``mode:level`` when the record has a level (failed records carry
+    none)."""
     text = path.read_text(encoding="utf-8")
     hyps: dict[str, str] = {}
     failed: dict[str, str] = {}
+    mode: str | None = None
+    mode_seen = False
     for line in text.splitlines():
         if not line:
             continue
         if line.startswith("{"):
             record = json.loads(line)
+            if not mode_seen and "error" not in record:
+                mode_seen = True
+                mode = record.get("mode")
+                if mode and record.get("level"):
+                    mode = f"{mode}:{record['level']}"
             if "id" not in record:
                 continue
             if "error" in record:
@@ -114,7 +123,7 @@ def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str]]:
         else:
             utt_id, _, hyp = line.partition("\t")
             hyps[utt_id] = hyp
-    return hyps, failed
+    return hyps, failed, mode
 
 
 @dataclass
@@ -196,12 +205,10 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, config, top_k):
         lattice = normalize(load_lattice(path))
 
         if mode == "greedy":
-            raw = greedy_decode(lattice, vocab)
-            if use_level == "grapheme":
-                composed = hangul.try_compose(list(raw))
-                text = composed if composed is not None else raw
-            else:
-                text = raw
+            tokens = greedy_decode(lattice)
+            text = tokens_to_text(tokens, vocab, use_level)
+            if text is None:  # jamo that do not compose are written as they are
+                text = tokens_to_text(tokens, vocab)
             hyps = [{"text": text, "level": use_level}]
         else:  # beam
             hyps = [
@@ -261,7 +268,7 @@ def _edit_record(summary) -> dict:
 
 def cmd_eval(args) -> int:
     refs = _read_refs(Path(args.refs))
-    hyps, failed = _read_hyps(Path(args.hyps))
+    hyps, failed, _ = _read_hyps(Path(args.hyps))
     for utt_id in refs:
         if utt_id not in hyps and utt_id not in failed:
             raise UnmatchedId(utt_id)
@@ -370,6 +377,12 @@ def cmd_loss(args) -> int:
 # vocab-stats
 # ---------------------------------------------------------------------------
 
+def _constructible(unit: str, graphemes) -> bool:
+    """True for a syllable whose every jamo is in ``graphemes``: one the
+    grapheme head can spell."""
+    return hangul.is_syllable(unit) and all(j in graphemes for j in hangul.decompose_syllable(unit))
+
+
 def _read_corpus_texts(path: str) -> list[str]:
     return [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
 
@@ -394,14 +407,9 @@ def cmd_vocab_stats(args) -> int:
             oov = sorted(u for u in inventory if u not in train_units)
             entry = {"count": len(oov)}
             if level == "syllable":
-                constructible = [
-                    u
-                    for u in oov
-                    if hangul.is_syllable(u)
-                    and all(j in train_grap for j in hangul.decompose_syllable(u))
-                ]
-                entry["constructible"] = len(constructible)
-                entry["unconstructible"] = len(oov) - len(constructible)
+                constructible = sum(_constructible(u, train_grap) for u in oov)
+                entry["constructible"] = constructible
+                entry["unconstructible"] = len(oov) - constructible
             row["oov"][name] = entry
         records.append(row)
 
@@ -447,27 +455,13 @@ def cmd_oov_report(args) -> int:
                 ref_units[ch] = ref_units.get(ch, 0) + 1
 
     oov_all = {u for u in ref_units if u not in train_vocab}
-    constructible = {
-        u
-        for u in oov_all
-        if hangul.is_syllable(u) and all(j in grap_vocab for j in hangul.decompose_syllable(u))
-    }
+    constructible = {u for u in oov_all if _constructible(u, grap_vocab)}
     oov_occurrences = sum(ref_units[u] for u in constructible)
 
     recovery = {}
     failed_count = 0
     for decode_path in args.decodes:
-        hyps, failed = _read_hyps(Path(decode_path))
-        mode = None
-        for line in Path(decode_path).read_text(encoding="utf-8").splitlines():
-            if line.startswith("{"):
-                record = json.loads(line)
-                if "error" in record:  # failed records carry no level
-                    continue
-                mode = record.get("mode")
-                if mode and record.get("level"):
-                    mode = f"{mode}:{record['level']}"
-                break
+        hyps, failed, mode = _read_hyps(Path(decode_path))
         recovered_types: set[str] = set()
         recovered_occ = 0
         failed_ids = []

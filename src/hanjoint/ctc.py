@@ -4,7 +4,9 @@ The probability of a label sequence is the sum over every frame-level
 alignment that collapses to it (merge repeats, delete blanks), computed by
 forward-backward over the blank-extended state sequence in the log domain.
 The multi-task loss combines the syllable-head and grapheme-head CTC
-log-probabilities of one reference with a trade-off weight.
+log-probabilities of one reference with a trade-off weight.  Greedy
+decoding returns token ids; :func:`hanjoint.joint.tokens_to_text` renders
+them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .lattice_io import (
     normalize,
     require_normalized,
     text_to_tokens,
-    tokens_to_units,
 )
 
 NEG_INF = -np.inf
@@ -83,12 +84,16 @@ def extended_states(label: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return ext, skip
 
 
-def _check_label(label: Sequence[int], vocab_size: int) -> None:
-    for tok in label:
+def _check_labels(labels: Sequence[Sequence[int]], vocab_size: int) -> None:
+    """Reject the first blank or out-of-range token of the batch, in label
+    order, with one array comparison over all of its tokens."""
+    flat = np.fromiter(chain.from_iterable(labels), dtype=np.int64)
+    bad = (flat <= BLANK_INDEX) | (flat >= vocab_size)
+    if bad.any():
+        tok = int(flat[np.argmax(bad)])
         if tok == BLANK_INDEX:
             raise BlankInLabel("label may not contain the blank index")
-        if not 0 <= tok < vocab_size:
-            raise HanjointError(f"token index {tok} outside vocabulary of size {vocab_size}")
+        raise HanjointError(f"token index {tok} outside vocabulary of size {vocab_size}")
 
 
 def _label_trie(labels: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -132,25 +137,21 @@ def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> 
     alignments, from one forward pass over a prefix trie of the batch.
 
     Every label is checked before any scoring starts.  Labels that do not
-    fit in the frame count score -inf; use :func:`label_feasible` to
-    distinguish that case from underflow.
+    fit in the frame count score -inf, because the forward pass reaches none
+    of their end states; use :func:`label_feasible` to distinguish that case
+    from underflow.
     """
     require_normalized(lattice)
-    for label in labels:
-        _check_label(label, lattice.vocab_size)
-    totals = [NEG_INF] * len(labels)
-    live = [i for i, label in enumerate(labels) if label_feasible(label, lattice.frames)]
-    if not live:
-        return totals
+    _check_labels(labels, lattice.vocab_size)
+    if len(labels) == 0:
+        return []
 
-    parent, token, depth, ends = _label_trie([labels[i] for i in live])
+    parent, token, depth, ends = _label_trie(labels)
     last = _kernels.ctc_alpha_last_trie(lattice.scores, parent, token, depth)
     final = last[2 * ends]
     nonempty = ends > 0
     final[nonempty] = np.logaddexp(final[nonempty], last[2 * ends[nonempty] - 1])
-    for i, total in zip(live, final.tolist()):
-        totals[i] = total
-    return totals
+    return final.tolist()
 
 
 def ctc_log_prob(lattice: EmissionLattice, label: Sequence[int]) -> float:
@@ -166,7 +167,7 @@ def ctc_loss_and_grad(logits: EmissionLattice, label: Sequence[int]) -> HeadLoss
     minus the softmax posterior, frame by frame.
     """
     lattice = normalize(logits)
-    _check_label(label, lattice.vocab_size)
+    _check_labels([label], lattice.vocab_size)
     F, V = lattice.scores.shape
     if F == 0:
         if len(label) == 0:
@@ -240,11 +241,10 @@ def collapse(path: Sequence[int]) -> list[int]:
     return out
 
 
-def greedy_decode(lattice: EmissionLattice, vocab: Vocabulary) -> str:
-    """Collapse the per-frame argmax path (ties go to the lowest index) and
-    render it as text with delimiters mapped to spaces."""
+def greedy_decode(lattice: EmissionLattice) -> list[int]:
+    """Tokens of the collapsed per-frame argmax path (ties go to the lowest
+    index)."""
     require_normalized(lattice)
     if lattice.frames == 0:
-        return ""
-    path = np.argmax(lattice.scores, axis=1)
-    return "".join(tokens_to_units(collapse(path.tolist()), vocab))
+        return []
+    return collapse(np.argmax(lattice.scores, axis=1).tolist())

@@ -44,7 +44,8 @@ class DuplicateToken(HanjointError):
 
 
 class BadMagic(HanjointError):
-    """Binary lattice file does not start with the expected magic bytes."""
+    """Lattice file is neither a CTCL lattice of a known version and flags
+    nor UTF-8 text."""
 
 
 class TruncatedFile(HanjointError):

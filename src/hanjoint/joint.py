@@ -13,19 +13,24 @@ domain:
 A candidate that is out-of-vocabulary at one level simply contributes zero
 probability at that level, which is what lets grapheme candidates recover
 syllables missing from the syllable vocabulary.
+
+:func:`tokens_to_text` is the one place where token ids become text: beam
+hypotheses, greedy paths and oracle labels are all rendered by it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .beam import BeamConfig, Hypothesis, prefix_beam_search
+from .beam import BeamConfig, prefix_beam_search
 # ctc_log_prob is importable here because perfbench/layers.py traces joint.ctc_log_prob.
 from .ctc import ctc_log_prob, ctc_log_probs  # noqa: F401
-from .errors import BothBeamsEmpty, ConfigError, OutOfVocabulary
+from .errors import BlankInLabel, BothBeamsEmpty, ConfigError, OutOfVocabulary
+# Composition is called through this name: perfbench/layers.py traces joint.try_compose.
 from .hangul import try_compose
-from .lattice_io import EmissionLattice, Vocabulary, text_to_tokens, tokens_to_units
+from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, text_to_tokens
 
 NEG_INF = -math.inf
 
@@ -121,10 +126,16 @@ def rescore_candidate(
     return _rescore([(text, provenance)], syll_lattice, grap_lattice, syll_vocab, grap_vocab, gamma)[0]
 
 
-def hypothesis_text(hyp: Hypothesis, vocab: Vocabulary, level: str) -> str | None:
-    """Text of a beam hypothesis: syllable tokens are joined, grapheme
-    tokens composed into syllables (None when the jamo do not compose)."""
-    units = tokens_to_units(list(hyp.tokens), vocab)
+def tokens_to_text(tokens: Sequence[int], vocab: Vocabulary, level: str = "syllable") -> str | None:
+    """Text of a token sequence, the inverse of :func:`text_to_tokens`.
+
+    The delimiter becomes a space and a blank raises :class:`BlankInLabel`.
+    Syllable tokens are joined; grapheme tokens are composed into syllable
+    blocks, and None means the jamo do not compose.
+    """
+    if BLANK_INDEX in tokens:
+        raise BlankInLabel("blank index in token sequence")
+    units = [" " if tok == vocab.delimiter_index else vocab.tokens[tok] for tok in tokens]
     if level == "grapheme":
         return try_compose(units)
     return "".join(units)
@@ -149,7 +160,7 @@ def joint_decode(
         (grap_lattice, grap_vocab, "grapheme"),
     ):
         for hyp in prefix_beam_search(lattice, vocab, config.beam, level=level):
-            text = hypothesis_text(hyp, vocab, level)
+            text = tokens_to_text(hyp.tokens, vocab, level)
             if text is None:
                 dropped += 1
                 continue
@@ -176,7 +187,7 @@ def beam_decode_texts(
     Grapheme hypotheses are composed; non-composable ones are skipped."""
     out: list[tuple[str, float]] = []
     for hyp in prefix_beam_search(lattice, vocab, config, level=level):
-        text = hypothesis_text(hyp, vocab, level)
+        text = tokens_to_text(hyp.tokens, vocab, level)
         if text is not None:
             out.append((text, hyp.log_prob))
     return out

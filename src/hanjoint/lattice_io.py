@@ -19,6 +19,9 @@ must be UTF-8 text.  The values of both are checked once, by
 :class:`EmissionLattice`.  Binary values are 32-bit floats; in memory all
 values are float64.  :func:`normalize` returns an already-normalized
 lattice unchanged, so callers apply it unconditionally.
+
+Text becomes token ids here (:func:`text_to_tokens`); the way back, token
+ids to text, is :func:`hanjoint.joint.tokens_to_text`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 from . import hangul
 from .errors import (
     BadMagic,
-    BlankInLabel,
     DimensionMismatch,
     DuplicateToken,
     HanjointError,
@@ -116,10 +118,16 @@ class EmissionLattice:
         if scores.ndim != 2:
             raise DimensionMismatch(f"lattice must be 2-D, got shape {scores.shape}")
         self.scores = scores
-        bad = np.argwhere(~np.isfinite(scores))
-        if bad.size:
-            frame, index = map(int, bad[0])
-            raise NonFiniteScore(frame, index)
+        # One pass: a finite sum means finite scores.  A sum that is not
+        # finite is either a non-finite score, found by the scan, or an
+        # overflow of finite ones.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = scores.sum()
+        if not np.isfinite(total):
+            bad = np.argwhere(~np.isfinite(scores))
+            if bad.size:
+                frame, index = map(int, bad[0])
+                raise NonFiniteScore(frame, index)
         if self.normalized and scores.shape[0]:
             sums = np.exp(scores).sum(axis=1)
             off = np.abs(sums - 1.0)
@@ -169,8 +177,7 @@ def _build(scores: np.ndarray, normalized: bool, path: str) -> EmissionLattice:
 
 
 def _parse_binary(data: bytes, path: str) -> EmissionLattice:
-    if len(data) < 4 or data[:4] != _MAGIC:
-        raise BadMagic(f"{path}: expected magic {_MAGIC!r}")
+    """A file that starts with the magic, read as a CTCL lattice."""
     if len(data) < 14:
         raise TruncatedFile(f"{path}: header incomplete")
     version, flags = data[4], data[5]
@@ -227,17 +234,12 @@ def _parse_text(data: bytes, path: str) -> EmissionLattice:
     return _build(scores, normalized, path)
 
 
-def load_lattice(path: str | Path, format: str = "auto") -> EmissionLattice:
-    """Read a lattice file.  ``format`` is ``binary``, ``text``, or ``auto``
-    (sniff the magic bytes)."""
+def load_lattice(path: str | Path) -> EmissionLattice:
+    """Read a lattice file in either format, told apart by the magic bytes."""
     data = Path(path).read_bytes()
-    if format == "auto":
-        format = "binary" if data[:4] == _MAGIC else "text"
-    if format == "binary":
+    if data[:4] == _MAGIC:
         return _parse_binary(data, str(path))
-    if format == "text":
-        return _parse_text(data, str(path))
-    raise ValueError(f"unknown lattice format {format!r}")
+    return _parse_text(data, str(path))
 
 
 def save_lattice(lattice: EmissionLattice, path: str | Path, format: str = "binary") -> None:
@@ -281,21 +283,3 @@ def text_to_tokens(text: str, vocab: Vocabulary, level: str) -> list[int]:
             raise OutOfVocabulary(unit, pos)
         tokens.append(idx)
     return tokens
-
-
-def tokens_to_units(tokens: list[int], vocab: Vocabulary) -> list[str]:
-    units: list[str] = []
-    for tok in tokens:
-        if tok == BLANK_INDEX:
-            raise BlankInLabel("blank index in token sequence")
-        units.append(" " if tok == vocab.delimiter_index else vocab.tokens[tok])
-    return units
-
-
-def tokens_to_text(tokens: list[int], vocab: Vocabulary, level: str = "syllable") -> str:
-    """Inverse of :func:`text_to_tokens`; grapheme sequences are composed
-    back into syllable blocks."""
-    units = tokens_to_units(tokens, vocab)
-    if level == "grapheme":
-        return hangul.compose_jamo(units)
-    return "".join(units)

@@ -18,7 +18,7 @@ import numpy as np
 from . import hangul
 from .beam import BeamConfig, prefix_beam_search
 from .ctc import MultiTaskLossConfig, ctc_log_prob, ctc_log_probs, ctc_loss_and_grad, multitask_loss
-from .joint import JointConfig, beam_decode_texts, joint_decode
+from .joint import JointConfig, beam_decode_texts, joint_decode, tokens_to_text
 from .lattice_io import EmissionLattice, Vocabulary, normalize
 from .synth import brute_force_best, brute_force_ctc, random_lattice
 
@@ -114,9 +114,7 @@ def check_beam_exactness(instances: int = 100, seed: int = 1003) -> CheckResult:
         width = sum((V - 1) ** l for l in range(F + 1))
         top = prefix_beam_search(lattice, vocab, BeamConfig(beam_width=width))[0]
         text, lp = brute_force_best(lattice, vocab)
-        got_text = "".join(
-            " " if t == vocab.delimiter_index else vocab.tokens[t] for t in top.tokens
-        )
+        got_text = tokens_to_text(top.tokens, vocab)
         if got_text != text:
             return CheckResult("beam-exactness", False, f"top-1 {got_text!r} != {text!r}")
         worst = max(worst, abs(top.log_prob - lp))
@@ -159,7 +157,10 @@ def check_joint_endpoints(instances: int = 100, seed: int = 1004) -> CheckResult
 
 
 def check_hangul_round_trip() -> CheckResult:
+    """Every syllable decomposes into 2-3 letters of the jamo inventory, and
+    its grapheme tokens render back to it."""
     start = time.perf_counter()
+    vocab = Vocabulary.from_units(sorted(hangul.JAMO_INVENTORY))
     for code in range(hangul.SYLLABLE_BASE, hangul.SYLLABLE_LAST + 1):
         ch = chr(code)
         parts = hangul.decompose_syllable(ch)
@@ -167,7 +168,7 @@ def check_hangul_round_trip() -> CheckResult:
             return CheckResult("hangul-round-trip", False, f"{ch!r} decomposed to {len(parts)} jamo")
         if any(p not in hangul.JAMO_INVENTORY for p in parts):
             return CheckResult("hangul-round-trip", False, f"{ch!r} left the 51-letter inventory")
-        if hangul.compose_jamo(parts) != ch:
+        if tokens_to_text([vocab.index_of(p) for p in parts], vocab, "grapheme") != ch:
             return CheckResult("hangul-round-trip", False, f"{ch!r} did not recompose")
     elapsed = time.perf_counter() - start
     return CheckResult(

@@ -20,6 +20,7 @@ import numpy as np
 from . import hangul
 from .ctc import collapse
 from .errors import ConfigError, HanjointError, OutOfVocabulary, TooLarge, UncoverableHoldout
+from .joint import tokens_to_text
 from .lattice_io import (
     BLANK_INDEX,
     EmissionLattice,
@@ -27,7 +28,6 @@ from .lattice_io import (
     normalize,
     require_normalized,
     text_to_units,
-    tokens_to_text,
 )
 
 ENUMERATION_GUARD = 10**7
@@ -104,7 +104,7 @@ def brute_force_best(
             best_label, best_lp = label, lp
     if best_label is None:
         return "", -np.inf
-    return tokens_to_text(list(best_label), vocab, "syllable"), best_lp
+    return tokens_to_text(best_label, vocab), best_lp
 
 
 def random_lattice(rng: np.random.Generator, frames: int, vocab_size: int, scale: float = 1.0) -> EmissionLattice:

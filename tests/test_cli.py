@@ -5,7 +5,7 @@ import pytest
 
 from hanjoint.beam import BeamConfig, prefix_beam_search
 from hanjoint.cli import main
-from hanjoint.joint import beam_decode_texts, hypothesis_text
+from hanjoint.joint import beam_decode_texts, tokens_to_text
 from hanjoint.lattice_io import EmissionLattice, Vocabulary, load_lattice, save_lattice
 
 TEXTS = ["가 나 흙 하", "나 그 가", "흙 닭 가", "가나 다"]
@@ -406,11 +406,28 @@ def test_beam_grapheme_top_k_skips_non_composable(tmp_path):
     config = BeamConfig(beam_width=20)
     # the best grapheme hypothesis is a lone vowel, which does not compose
     top = prefix_beam_search(lattice, vocab, config)[0]
-    assert top.tokens == (3,) and hypothesis_text(top, vocab, "grapheme") is None
+    assert top.tokens == (3,) and tokens_to_text(top.tokens, vocab, "grapheme") is None
     expected = [{"text": text, "log_prob": lp, "level": "grapheme"}
                 for text, lp in beam_decode_texts(lattice, vocab, "grapheme", config)[:3]]
     assert len(expected) == 3 and expected[0]["text"] == "가"
     assert read_records(out)[0]["hypotheses"] == expected
+
+
+def test_greedy_grapheme_writes_jamo_that_do_not_compose(tmp_path):
+    vocab = Vocabulary(("<ctc_blank>", "|", "ㄱ", "ㅏ"))
+    vocab.save(tmp_path / "grapheme.vocab")
+    for utt_id, path in (("utt0000", [3]), ("utt0001", [3, 2, 3]), ("utt0002", [2, 3, 0, 2])):
+        probs = np.full((len(path), 4), 0.02)
+        probs[np.arange(len(path)), path] = 0.94
+        save_lattice(EmissionLattice(np.log(probs), normalized=True), tmp_path / f"{utt_id}.grap.lat")
+    out = tmp_path / "greedy.jsonl"
+    assert main(["decode", "--corpus", str(tmp_path), "--mode", "greedy", "--out", str(out)]) == 0
+    # a lone vowel and a leading vowel stay raw jamo; 가 + ㄱ composes into 각
+    assert [r["hypotheses"] for r in read_records(out)] == [
+        [{"text": "ㅏ", "level": "grapheme"}],
+        [{"text": "ㅏㄱㅏ", "level": "grapheme"}],
+        [{"text": "각", "level": "grapheme"}],
+    ]
 
 
 def test_vocab_stats_table_shape(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hanjoint.ctc import (
     multitask_loss,
 )
 from hanjoint.errors import BlankInLabel, HanjointError, InfeasibleLabel, OutOfVocabulary
+from hanjoint.joint import tokens_to_text
 from hanjoint.lattice_io import EmissionLattice, Vocabulary, normalize
 from hanjoint.synth import brute_force_all, brute_force_ctc, random_lattice
 
@@ -204,6 +205,26 @@ def test_batch_infeasible_and_zero_frames():
     empty = EmissionLattice(np.zeros((0, 3)), normalized=True)
     assert ctc_log_probs(empty, [[], [1], []]) == [0.0, -math.inf, 0.0]
 
+    # feasible, infeasible and empty labels that share trie prefixes: the
+    # forward pass reaches no end state of a label that does not fit
+    lattice = random_lattice(np.random.default_rng(9), 4, 3)
+    labels = [[1, 2], [1, 2, 1, 2, 1], [], [1, 1, 1], [1, 2, 2], [2], [2, 2, 1, 1]]
+    got = ctc_log_probs(lattice, labels)
+    assert got == [loop_reference(lattice, label) for label in labels]
+    assert [score == -math.inf for score in got] == [False, True, False, True, False, False, True]
+
+
+@pytest.mark.parametrize("labels, error", [
+    ([[1], [1, 5], [0]], HanjointError),
+    ([[1], [0], [1, 5]], BlankInLabel),
+    ([[2, -1], [0]], HanjointError),
+    ([[], [2, 2, 0, 7]], BlankInLabel),
+])
+def test_batch_check_raises_for_the_first_bad_token(labels, error):
+    with pytest.raises(HanjointError) as info:
+        ctc_log_probs(uniform_lattice(4, 3), labels)
+    assert type(info.value) is error
+
 
 @pytest.mark.parametrize("bad", [[0], [1, 5]])
 def test_batch_rejects_bad_label_like_single_call(bad):
@@ -358,15 +379,16 @@ def test_collapse():
 
 
 def test_greedy_examples():
-    assert greedy_decode(peaked([0, 2, 2, 0, 3], 4), AB_VOCAB) == "ab"
-    assert greedy_decode(peaked([0, 0, 0], 4), AB_VOCAB) == ""
-    assert greedy_decode(peaked([2, 0, 2], 4), AB_VOCAB) == "aa"
-    assert greedy_decode(peaked([2, 1, 3], 4), AB_VOCAB) == "a b"
+    assert greedy_decode(peaked([0, 2, 2, 0, 3], 4)) == [2, 3]
+    assert greedy_decode(peaked([0, 0, 0], 4)) == []
+    assert greedy_decode(peaked([2, 0, 2], 4)) == [2, 2]
+    assert greedy_decode(peaked([2, 1, 3], 4)) == [2, 1, 3]
+    assert tokens_to_text(greedy_decode(peaked([2, 1, 3], 4)), AB_VOCAB) == "a b"
+    assert greedy_decode(EmissionLattice(np.zeros((0, 4)), normalized=True)) == []
 
 
 def test_greedy_ties_take_lowest_index():
-    lattice = uniform_lattice(2, 3)
-    assert greedy_decode(lattice, Vocabulary(("<ctc_blank>", "|", "a"))) == ""
+    assert greedy_decode(uniform_lattice(2, 3)) == []
 
 
 def test_greedy_invariant_under_row_rescaling():
@@ -374,4 +396,4 @@ def test_greedy_invariant_under_row_rescaling():
     for _ in range(20):
         lattice = random_lattice(rng, 6, 4)
         rescaled = normalize(EmissionLattice(lattice.scores * 2.5 + 1.0))
-        assert greedy_decode(lattice, AB_VOCAB) == greedy_decode(rescaled, AB_VOCAB)
+        assert greedy_decode(lattice) == greedy_decode(rescaled)

@@ -71,13 +71,12 @@ def test_rescoring_consistency_and_union_coverage():
 
         # every composable hypothesis from either beam appears
         from hanjoint.beam import prefix_beam_search
-        from hanjoint.joint import hypothesis_text
-        from hanjoint.lattice_io import tokens_to_text
+        from hanjoint.joint import tokens_to_text
 
         for hyp in prefix_beam_search(syll_lat, SYLL_VOCAB, cfg.beam):
-            assert tokens_to_text(list(hyp.tokens), SYLL_VOCAB, "syllable") in set(texts)
+            assert tokens_to_text(hyp.tokens, SYLL_VOCAB, "syllable") in set(texts)
         for hyp in prefix_beam_search(grap_lat, GRAP_VOCAB, cfg.beam):
-            text = hypothesis_text(hyp, GRAP_VOCAB, "grapheme")
+            text = tokens_to_text(hyp.tokens, GRAP_VOCAB, "grapheme")
             if text is not None:
                 assert text in set(texts)
 

@@ -5,6 +5,7 @@ import pytest
 
 from hanjoint.ctc import greedy_decode
 from hanjoint.errors import OutOfVocabulary, TooLarge, UncoverableHoldout
+from hanjoint.joint import tokens_to_text
 from hanjoint.lattice_io import EmissionLattice, Vocabulary
 from hanjoint.synth import (
     SynthSpec,
@@ -49,7 +50,7 @@ def test_gen_lattice_recovers_text():
     lattice = gen_lattice(spec, VOCAB, "syllable")
     assert lattice.normalized
     assert np.exp(lattice.scores).sum(axis=1) == pytest.approx(np.ones(lattice.frames), abs=1e-9)
-    assert greedy_decode(lattice, VOCAB) == "가 나"
+    assert tokens_to_text(greedy_decode(lattice), VOCAB) == "가 나"
 
 
 def test_gen_lattice_deterministic():
@@ -62,14 +63,14 @@ def test_gen_lattice_deterministic():
 def test_gen_lattice_separates_repeated_tokens():
     spec = SynthSpec("가가", frames_per_token=2, blank_gap=0)
     lattice = gen_lattice(spec, VOCAB, "syllable")
-    assert greedy_decode(lattice, VOCAB) == "가가"
+    assert tokens_to_text(greedy_decode(lattice), VOCAB) == "가가"
 
 
 def test_gen_lattice_grapheme_level():
     vocab = Vocabulary.from_units(["ㄱ", "ㅏ", "ㄴ"])
     spec = SynthSpec("가나", frames_per_token=2, blank_gap=1)
     lattice = gen_lattice(spec, vocab, "grapheme")
-    assert greedy_decode(lattice, vocab) == "ㄱㅏㄴㅏ"
+    assert tokens_to_text(greedy_decode(lattice), vocab) == "ㄱㅏㄴㅏ"
 
 
 def test_gen_lattice_oov_needs_extended_vocab():
