@@ -1,8 +1,11 @@
 """CTC scoring, multi-task loss, gradients, and greedy decoding.
 
 The probability of a label sequence is the sum over every frame-level
-alignment that collapses to it (merge repeats, delete blanks), computed by
-forward-backward over the blank-extended state sequence in the log domain.
+alignment that collapses to it (merge repeats, delete blanks), computed in
+the log domain by one forward recurrence over a prefix trie of the labels
+(:func:`hanjoint._kernels.ctc_alpha`).  The gradient runs that recurrence
+forwards and over the time-reversed lattice and label, whose rows are the
+backward variables.
 The multi-task loss combines the syllable-head and grapheme-head CTC
 log-probabilities of one reference with a trade-off weight.  Greedy
 decoding returns token ids; :func:`hanjoint.joint.tokens_to_text` renders
@@ -19,11 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BlankInLabel, ConfigError, HanjointError, InfeasibleLabel, OutOfVocabulary
+from .errors import ConfigError, InfeasibleLabel, OutOfVocabulary
 from .lattice_io import (
     BLANK_INDEX,
     EmissionLattice,
     Vocabulary,
+    check_tokens,
     normalize,
     require_normalized,
     text_to_tokens,
@@ -74,32 +78,20 @@ def label_feasible(label: Sequence[int], frames: int) -> bool:
     return frames >= 2 * n or frames >= n + sum(map(operator.eq, label, label[1:]))
 
 
-def extended_states(label: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Blank-extended state sequence and its skip-transition mask."""
-    L = len(label)
-    ext = np.full(2 * L + 1, BLANK_INDEX, dtype=np.int64)
-    ext[1::2] = label
-    skip = np.zeros(2 * L + 1, dtype=np.bool_)
-    skip[3::2] = ext[3::2] != ext[1:-2:2]
-    return ext, skip
+def _flatten(labels: Sequence[Sequence[int]], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every token of the batch in label order, and each label's length.
+    The first blank or out-of-range token, in label order, is rejected."""
+    lengths = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    flat = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=int(lengths.sum()))
+    check_tokens(flat, vocab_size)
+    return flat, lengths
 
 
-def _check_labels(labels: Sequence[Sequence[int]], vocab_size: int) -> None:
-    """Reject the first blank or out-of-range token of the batch, in label
-    order, with one array comparison over all of its tokens."""
-    flat = np.fromiter(chain.from_iterable(labels), dtype=np.int64)
-    bad = (flat <= BLANK_INDEX) | (flat >= vocab_size)
-    if bad.any():
-        tok = int(flat[np.argmax(bad)])
-        if tok == BLANK_INDEX:
-            raise BlankInLabel("label may not contain the blank index")
-        raise HanjointError(f"token index {tok} outside vocabulary of size {vocab_size}")
-
-
-def _label_trie(labels: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Prefix trie of the labels, nodes in depth order: node 0 is the root
-    (the empty prefix), node n > 0 extends ``parent[n]`` by ``token[n]`` at
-    depth ``depth[n]``, and label i ends at node ``ends[i]``.
+def _label_trie(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Prefix trie of the labels that :func:`_flatten` returned, nodes in
+    depth order: node 0 is the root (the empty prefix), node n > 0 extends
+    ``parent[n]`` by ``token[n]`` at depth ``depth[n]``, and label i ends at
+    node ``ends[i]``.
 
     Sorted, labels that share a prefix are neighbours.  Entry (d, j) of a
     depth x label grid is the length-(d+1) prefix of the j-th sorted label;
@@ -109,12 +101,12 @@ def _label_trie(labels: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     its row.  No step loops over tokens in Python, so one label, or labels
     that share nothing, cost a few array operations.
     """
-    keys = [tuple(label) for label in labels]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    lengths = np.fromiter((len(keys[i]) for i in order), dtype=np.int64, count=len(order))
-    valid = np.arange(int(lengths.max()))[:, None] < lengths
-    grid = np.zeros(valid.shape, dtype=np.int64)
-    grid.T[valid.T] = np.fromiter(chain.from_iterable(keys[i] for i in order), dtype=np.int64)
+    filled = np.arange(int(lengths.max())) < lengths[:, None]
+    padded = np.zeros(filled.shape, dtype=np.int64)
+    padded[filled] = flat
+    # Tokens are positive and padding is 0, so a prefix sorts before its extensions.
+    order = np.lexsort(padded.T[::-1]) if padded.shape[1] else np.arange(len(lengths))
+    grid, valid = padded[order].T, filled[order].T
 
     same = grid[:, 1:] == grid[:, :-1]
     shared = np.logical_and.accumulate(same & valid[:, 1:] & valid[:, :-1], axis=0)
@@ -126,10 +118,19 @@ def _label_trie(labels: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     depth = np.broadcast_to(np.arange(1, nodes.shape[0])[:, None], valid.shape)
 
     ends = np.zeros(len(order), dtype=np.int64)
-    ends[order] = nodes[lengths, np.arange(len(order))]
+    ends[order] = nodes[lengths[order], np.arange(len(order))]
     root = np.zeros(1, dtype=np.int64)
     return (np.concatenate((root, nodes[:-1][new])), np.concatenate((root, grid[new])),
             np.concatenate((root, depth[new])), ends)
+
+
+def _end_scores(last: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Each label's log-probability from the last forward row: its end
+    node's trailing blank plus, unless it is empty, its last token."""
+    final = last[2 * ends]
+    nonempty = ends > 0
+    final[nonempty] = np.logaddexp(final[nonempty], last[2 * ends[nonempty] - 1])
+    return final
 
 
 def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> list[float]:
@@ -142,16 +143,13 @@ def ctc_log_probs(lattice: EmissionLattice, labels: Sequence[Sequence[int]]) -> 
     from underflow.
     """
     require_normalized(lattice)
-    _check_labels(labels, lattice.vocab_size)
+    flat, lengths = _flatten(labels, lattice.vocab_size)
     if len(labels) == 0:
         return []
 
-    parent, token, depth, ends = _label_trie(labels)
-    last = _kernels.ctc_alpha_last_trie(lattice.scores, parent, token, depth)
-    final = last[2 * ends]
-    nonempty = ends > 0
-    final[nonempty] = np.logaddexp(final[nonempty], last[2 * ends[nonempty] - 1])
-    return final.tolist()
+    parent, token, depth, ends = _label_trie(flat, lengths)
+    last = _kernels.ctc_alpha(lattice.scores, parent, token, depth)
+    return _end_scores(last, ends).tolist()
 
 
 def ctc_log_prob(lattice: EmissionLattice, label: Sequence[int]) -> float:
@@ -167,25 +165,27 @@ def ctc_loss_and_grad(logits: EmissionLattice, label: Sequence[int]) -> HeadLoss
     minus the softmax posterior, frame by frame.
     """
     lattice = normalize(logits)
-    _check_labels([label], lattice.vocab_size)
+    flat, lengths = _flatten([label], lattice.vocab_size)
     F, V = lattice.scores.shape
-    if F == 0:
-        if len(label) == 0:
-            return HeadLoss(0.0, np.zeros((0, V)))
-        return HeadLoss(NEG_INF, None, infeasible=True)
     if not label_feasible(label, F):
         return HeadLoss(NEG_INF, None, infeasible=True)
 
-    ext, skip = extended_states(label)
-    lp_ext = lattice.scores[:, ext]
-    alpha = _kernels.ctc_alpha(lp_ext, skip)
-    beta = _kernels.ctc_beta(lp_ext, skip)
-    total = alpha[-1, -1]
-    if alpha.shape[1] > 1:
-        total = np.logaddexp(total, alpha[-1, -2])
+    # The backward variables are the forward rows of the time-reversed
+    # lattice and label, flipped back in time and state, less the emission at
+    # t, which the forward rows also hold.  One label's trie is a chain, so
+    # the reversed label's trie is the same chain with its tokens reversed.
+    alpha = np.empty((F, 2 * len(flat) + 1))
+    reversed_alpha = np.empty_like(alpha)
+    parent, token, depth, ends = _label_trie(flat, lengths)
+    last = _kernels.ctc_alpha(lattice.scores, parent, token, depth, rows=alpha)
+    _kernels.ctc_alpha(lattice.scores[::-1], parent, np.concatenate((token[:1], token[:0:-1])), depth,
+                       rows=reversed_alpha)
+    total = _end_scores(last, ends)[0]
 
+    ext = np.zeros(alpha.shape[1], dtype=np.int64)  # each state's token: the kernel's emit
+    ext[1::2] = flat
     occupancy = np.zeros((F, V))
-    np.add.at(occupancy.T, ext, np.exp(alpha + beta - total).T)
+    np.add.at(occupancy.T, ext, np.exp(alpha + reversed_alpha[::-1, ::-1] - lattice.scores[:, ext] - total).T)
     grad = occupancy - np.exp(lattice.scores)
     return HeadLoss(float(total), grad)
 

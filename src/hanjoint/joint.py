@@ -27,10 +27,10 @@ from typing import Sequence
 from .beam import BeamConfig, prefix_beam_search
 # ctc_log_prob is importable here because perfbench/layers.py traces joint.ctc_log_prob.
 from .ctc import ctc_log_prob, ctc_log_probs  # noqa: F401
-from .errors import BlankInLabel, BothBeamsEmpty, ConfigError, OutOfVocabulary
+from .errors import BothBeamsEmpty, ConfigError, OutOfVocabulary
 # Composition is called through this name: perfbench/layers.py traces joint.try_compose.
 from .hangul import try_compose
-from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, text_to_tokens
+from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, check_tokens, text_to_tokens
 
 NEG_INF = -math.inf
 
@@ -129,12 +129,12 @@ def rescore_candidate(
 def tokens_to_text(tokens: Sequence[int], vocab: Vocabulary, level: str = "syllable") -> str | None:
     """Text of a token sequence, the inverse of :func:`text_to_tokens`.
 
-    The delimiter becomes a space and a blank raises :class:`BlankInLabel`.
-    Syllable tokens are joined; grapheme tokens are composed into syllable
-    blocks, and None means the jamo do not compose.
+    The delimiter becomes a space; a blank or out-of-range id raises as in
+    :func:`check_tokens`.  Syllable tokens are joined; grapheme tokens are
+    composed into syllable blocks, and None means the jamo do not compose.
     """
-    if BLANK_INDEX in tokens:
-        raise BlankInLabel("blank index in token sequence")
+    if tokens and not (BLANK_INDEX < min(tokens) and max(tokens) < vocab.size):
+        check_tokens(tokens, vocab.size)  # raises for the first bad id
     units = [" " if tok == vocab.delimiter_index else vocab.tokens[tok] for tok in tokens]
     if level == "grapheme":
         return try_compose(units)

@@ -21,7 +21,8 @@ values are float64.  :func:`normalize` returns an already-normalized
 lattice unchanged, so callers apply it unconditionally.
 
 Text becomes token ids here (:func:`text_to_tokens`); the way back, token
-ids to text, is :func:`hanjoint.joint.tokens_to_text`.
+ids to text, is :func:`hanjoint.joint.tokens_to_text`.  Token ids that come
+from elsewhere are checked by :func:`check_tokens`.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import hangul
 from .errors import (
     BadMagic,
+    BlankInLabel,
     DimensionMismatch,
     DuplicateToken,
     HanjointError,
@@ -283,3 +286,15 @@ def text_to_tokens(text: str, vocab: Vocabulary, level: str) -> list[int]:
             raise OutOfVocabulary(unit, pos)
         tokens.append(idx)
     return tokens
+
+
+def check_tokens(tokens: Sequence[int] | np.ndarray, vocab_size: int) -> None:
+    """Reject the first blank or out-of-range token id, in order, with one
+    array comparison over all of them."""
+    ids = np.asarray(tokens, dtype=np.int64)
+    bad = (ids <= BLANK_INDEX) | (ids >= vocab_size)
+    if bad.any():
+        tok = int(ids[np.argmax(bad)])
+        if tok == BLANK_INDEX:
+            raise BlankInLabel("label may not contain the blank index")
+        raise HanjointError(f"token index {tok} outside vocabulary of size {vocab_size}")

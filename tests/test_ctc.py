@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hanjoint import _kernels
+from hanjoint._kernels import _logsumexp3
 from hanjoint.ctc import (
     MultiTaskLossConfig,
+    _flatten,
     _label_trie,
     collapse,
     ctc_log_prob,
     ctc_log_probs,
     ctc_loss_and_grad,
-    extended_states,
     greedy_decode,
     label_feasible,
     multitask_loss,
@@ -117,16 +117,35 @@ def test_more_frames_never_lose_feasibility():
 
 
 def loop_reference(lattice, label):
-    """One label at a time through the full-matrix forward kernel."""
+    """One label at a time through the forward recurrence over its
+    blank-extended states (blank, y1, blank, ..., yL, blank), frame by frame
+    and vectorized over the states, with the kernel's own
+    :func:`_logsumexp3` arithmetic.  The trie kernel must match it bit for
+    bit."""
     if lattice.frames == 0:
         return 0.0 if len(label) == 0 else -math.inf
     if not label_feasible(label, lattice.frames):
         return -math.inf
-    ext, skip = extended_states(label)
-    alpha = _kernels.ctc_alpha(lattice.scores[:, ext], skip)
-    total = alpha[-1, -1]
-    if alpha.shape[1] > 1:
-        total = np.logaddexp(total, alpha[-1, -2])
+    S = 2 * len(label) + 1
+    ext = np.zeros(S, dtype=np.int64)
+    ext[1::2] = label
+    skip = np.zeros(S, dtype=np.bool_)  # s-2 -> s is legal into a token unlike the one before
+    skip[3::2] = ext[3::2] != ext[1:-2:2]
+    lp_ext = lattice.scores[:, ext]
+    alpha = lp_ext[0].copy()
+    alpha[2:] = -math.inf
+    step = np.empty(S)
+    jump = np.empty(S)
+    with np.errstate(divide="ignore"):
+        for row in lp_ext[1:]:
+            step[0] = -math.inf
+            step[1:] = alpha[:-1]
+            jump[:2] = -math.inf
+            jump[2:] = np.where(skip[2:], alpha[:-2], -math.inf)
+            alpha = _logsumexp3(alpha, step, jump) + row
+    total = alpha[-1]
+    if S > 1:
+        total = np.logaddexp(total, alpha[-2])
     return float(total)
 
 
@@ -184,7 +203,7 @@ def test_label_trie_holds_each_prefix_once_in_depth_order():
     for _ in range(30):
         labels = [[int(rng.integers(1, 4)) for _ in range(int(rng.integers(0, 7)))]
                   for _ in range(int(rng.integers(1, 20)))]
-        parent, token, depth, ends = _label_trie(labels)
+        parent, token, depth, ends = _label_trie(*_flatten(labels, 4))
         prefixes = [()]
         for n in range(1, len(parent)):
             assert parent[n] < n and depth[n] == depth[parent[n]] + 1
@@ -271,6 +290,7 @@ def test_gradient_matches_finite_differences():
         if not label_feasible(label, F):
             continue
         result = ctc_loss_and_grad(EmissionLattice(logits), label)
+        assert result.log_prob == ctc_log_prob(normalize(EmissionLattice(logits)), label)
         assert relative_error(result.grad, fd_gradient(logits, label)).max() <= 1e-3
 
 
@@ -292,10 +312,16 @@ def test_gradient_symmetric_frames():
 
 
 def test_gradient_infeasible_flag():
-    result = ctc_loss_and_grad(EmissionLattice(np.zeros((1, 3))), [1, 1])
-    assert result.infeasible
-    assert result.log_prob == -math.inf
-    assert result.grad is None
+    for frames, label in ((1, [1, 1]), (0, [1]), (0, [2, 2])):
+        result = ctc_loss_and_grad(EmissionLattice(np.zeros((frames, 3))), label)
+        assert result.infeasible
+        assert result.log_prob == -math.inf
+        assert result.grad is None
+    # with no frames the empty label is certain and has nothing to differentiate
+    result = ctc_loss_and_grad(EmissionLattice(np.zeros((0, 3))), [])
+    assert not result.infeasible
+    assert result.log_prob == 0.0
+    assert result.grad.shape == (0, 3)
 
 
 # ---- multi-task loss ----

@@ -1,10 +1,11 @@
-"""The full-matrix forward and backward kernels implement one recurrence."""
+"""The forward kernel, run on a label and on the time-reversed lattice and
+label, gives the forward and backward variables of one recurrence."""
 
 import numpy as np
 import pytest
 
 from hanjoint import _kernels
-from hanjoint.ctc import extended_states
+from hanjoint.ctc import _flatten, _label_trie
 from hanjoint.synth import random_lattice
 
 
@@ -13,24 +14,34 @@ def random_case(rng):
     V = int(rng.integers(2, 5))
     L = int(rng.integers(0, 4))
     label = [int(rng.integers(1, V)) for _ in range(L)]
-    lattice = random_lattice(rng, F, V)
-    ext, skip = extended_states(label)
-    return lattice.scores[:, ext], skip
+    return random_lattice(rng, F, V).scores, label
+
+
+def forward_rows(scores, label):
+    parent, token, depth, _ = _label_trie(*_flatten([label], scores.shape[1]))
+    rows = np.empty((len(scores), 2 * len(label) + 1))
+    last = _kernels.ctc_alpha(scores, parent, token, depth, rows=rows)
+    return rows, last
 
 
 def test_forward_backward_consistency():
-    # alpha[t] + beta[t] must give the same total mass at every frame
+    # alpha[t] + beta[t] must give the same total mass at every frame, with
+    # beta[t] the reversed pass's row minus the emission at t
     rng = np.random.default_rng(5)
     for _ in range(50):
-        lp_ext, skip = random_case(rng)
-        alpha = _kernels.ctc_alpha(lp_ext, skip)
-        beta = _kernels.ctc_beta(lp_ext, skip)
-        total = alpha[-1, -1]
-        if alpha.shape[1] > 1:
-            total = np.logaddexp(total, alpha[-1, -2])
+        scores, label = random_case(rng)
+        alpha, last = forward_rows(scores, label)
+        np.testing.assert_array_equal(alpha[-1], last)
+        reversed_alpha, _ = forward_rows(scores[::-1], label[::-1])
+        ext = np.zeros(alpha.shape[1], dtype=np.int64)
+        ext[1::2] = label
+        beta = reversed_alpha[::-1, ::-1] - scores[:, ext]
+        total = last[-1]
+        if len(last) > 1:
+            total = np.logaddexp(total, last[-2])
         if total == -np.inf:
             continue
-        for t in range(lp_ext.shape[0]):
+        for t in range(len(scores)):
             joined = alpha[t] + beta[t]
             m = joined.max()
             frame_total = m + np.log(np.exp(joined - m).sum())

@@ -248,3 +248,8 @@ def test_tokens_to_text_inverse():
     assert tokens_to_text([3], jamo) == "ㅏ"
     with pytest.raises(BlankInLabel):
         tokens_to_text([2, 0, 3], jamo, "grapheme")
+    # an id outside the vocabulary is rejected as the CTC label check rejects it
+    for bad in (-1, jamo.size):
+        for tokens, level in (([bad], "syllable"), ([2, bad], "grapheme")):
+            with pytest.raises(HanjointError, match=f"token index {bad} outside vocabulary of size 4"):
+                tokens_to_text(tokens, jamo, level)
