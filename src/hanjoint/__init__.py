@@ -7,7 +7,7 @@ is validated against.  The ``hanjoint`` command wires these into batch
 workflows.
 """
 
-from .beam import BeamConfig, Hypothesis, prefix_beam_search
+from .beam import BeamConfig, Hypothesis, prefix_beam_search, prefix_beam_search_batch
 from .ctc import (
     LossResult,
     MultiTaskLossConfig,
@@ -24,7 +24,9 @@ from .joint import (
     JointDecodeResult,
     ScoredCandidate,
     beam_decode_texts,
+    beam_decode_texts_batch,
     joint_decode,
+    joint_decode_batch,
     rescore_candidate,
     tokens_to_text,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "SynthSpec",
     "Vocabulary",
     "beam_decode_texts",
+    "beam_decode_texts_batch",
     "brute_force_best",
     "brute_force_ctc",
     "cer",
@@ -74,6 +77,7 @@ __all__ = [
     "gen_oov_corpus",
     "greedy_decode",
     "joint_decode",
+    "joint_decode_batch",
     "kernel_backend",
     "label_feasible",
     "levenshtein",
@@ -81,6 +85,7 @@ __all__ = [
     "multitask_loss",
     "normalize",
     "prefix_beam_search",
+    "prefix_beam_search_batch",
     "rescore_candidate",
     "save_lattice",
     "space_normalize",

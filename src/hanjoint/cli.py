@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``synth`` builds a synthetic corpus on disk, ``decode`` runs
-greedy/beam/joint decoding over a corpus directory, one utterance at a
-time in corpus order, ``eval`` scores hypotheses against references,
-``loss`` computes the multi-task loss, ``vocab-stats`` and ``oov-report``
-reproduce the vocabulary/OOV accounting tables, and ``selfcheck`` replays
-the oracle validation suites.
+greedy/beam/joint decoding over a corpus directory in corpus order (beam
+and joint modes search chunks of utterances as one batch), ``eval``
+scores hypotheses against references, ``loss`` computes the multi-task
+loss, ``vocab-stats`` and ``oov-report`` reproduce the vocabulary/OOV
+accounting tables, and ``selfcheck`` replays the oracle validation
+suites.
 
 Machine output is line-delimited JSON with sorted keys; every file-producing
 run also writes a ``<out>.manifest.json`` capturing the exact configuration,
@@ -32,11 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, hangul, selfcheck
-# prefix_beam_search stays importable here: perfbench/layers.py traces cli.prefix_beam_search.
-from .beam import BeamConfig, prefix_beam_search  # noqa: F401
+from .beam import BeamConfig
 from .ctc import MultiTaskLossConfig, greedy_decode, multitask_loss
 from .errors import EmptyReference, HanjointError, InfeasibleLabel, OutOfVocabulary, UnmatchedId
-from .joint import JointConfig, beam_decode_texts, joint_decode, tokens_to_text
+from .joint import JointConfig, beam_decode_texts_batch, joint_decode_batch, tokens_to_text
 from .lattice_io import (
     Vocabulary,
     load_lattice,
@@ -166,19 +166,57 @@ def _scan_corpus(corpus: Path) -> tuple[Vocabulary | None, Vocabulary | None, li
 # decode
 # ---------------------------------------------------------------------------
 
-def _decode_one(utt, mode, level, syll_vocab, grap_vocab, config, top_k):
-    try:
-        if mode == "joint":
-            if utt.syll_path is None or utt.grap_path is None:
-                raise HanjointError("joint decoding needs both syllable and grapheme lattices")
-            result = joint_decode(
-                normalize(load_lattice(utt.syll_path)),
-                normalize(load_lattice(utt.grap_path)),
-                syll_vocab,
-                grap_vocab,
-                config,
-            )
-            hyps = [
+# Beam and joint decoding load utterances until their lattices hold this
+# many scores (frames x vocabulary, both heads), then search them as one batch.
+_CHUNK_CELLS = 1 << 22
+
+
+def _lattice(path: Path | None, vocab, level: str):
+    if path is None:
+        raise HanjointError(f"no {level} lattice present")
+    if vocab is None:
+        raise HanjointError(f"no {level} vocabulary in the corpus")
+    return normalize(load_lattice(path))
+
+
+def _load(utt, mode, level, syll_vocab, grap_vocab):
+    """The level and the normalized lattices one utterance is decoded from:
+    both heads for joint mode, else the requested level's (default:
+    syllable when present)."""
+    if mode == "joint":
+        if utt.syll_path is None or utt.grap_path is None:
+            raise HanjointError("joint decoding needs both syllable and grapheme lattices")
+        return None, [_lattice(utt.syll_path, syll_vocab, "syllable"),
+                      _lattice(utt.grap_path, grap_vocab, "grapheme")]
+    level = level or ("syllable" if utt.syll_path is not None else "grapheme")
+    path, vocab = (utt.syll_path, syll_vocab) if level == "syllable" else (utt.grap_path, grap_vocab)
+    return level, [_lattice(path, vocab, level)]
+
+
+def _greedy_fields(level, lattice, vocab) -> dict:
+    tokens = greedy_decode(lattice)
+    text = tokens_to_text(tokens, vocab, level)
+    if text is None:  # jamo that do not compose are written as they are
+        text = tokens_to_text(tokens, vocab)
+    return {"level": level, "hypotheses": [{"text": text, "level": level}]}
+
+
+def _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k) -> None:
+    """Fill the records of one chunk of loaded (record, level, lattices)
+    from one beam batch; an utterance that fails gets its error."""
+    if mode == "joint":
+        pairs = [tuple(lattices) for _, _, lattices in chunk]
+        results = joint_decode_batch(pairs, syll_vocab, grap_vocab, config)
+    else:
+        levels = [level for _, level, _ in chunk]
+        vocabs = [syll_vocab if level == "syllable" else grap_vocab for level in levels]
+        heads = [lattices[0] for _, _, lattices in chunk]
+        results = beam_decode_texts_batch(heads, vocabs, levels, config.beam)
+    for (record, level, _), result in zip(chunk, results):
+        if isinstance(result, HanjointError):
+            record["error"] = str(result)
+        elif mode == "joint":
+            record["hypotheses"] = [
                 {
                     "text": c.text,
                     "joint_score": c.joint_score,
@@ -188,36 +226,41 @@ def _decode_one(utt, mode, level, syll_vocab, grap_vocab, config, top_k):
                 }
                 for c in result.candidates[:top_k]
             ]
-            return {
-                "id": utt.id,
-                "mode": mode,
-                "hypotheses": hyps,
-                "dropped_non_composable": result.dropped_non_composable,
-            }
+            record["dropped_non_composable"] = result.dropped_non_composable
+        else:
+            record["level"] = level
+            record["hypotheses"] = [{"text": text, "log_prob": log_prob, "level": level}
+                                    for text, log_prob in result[:top_k]]
 
-        use_level = level or ("syllable" if utt.syll_path is not None else "grapheme")
-        path = utt.syll_path if use_level == "syllable" else utt.grap_path
-        vocab = syll_vocab if use_level == "syllable" else grap_vocab
-        if path is None:
-            raise HanjointError(f"no {use_level} lattice present")
-        if vocab is None:
-            raise HanjointError(f"no {use_level} vocabulary in the corpus")
-        lattice = normalize(load_lattice(path))
 
-        if mode == "greedy":
-            tokens = greedy_decode(lattice)
-            text = tokens_to_text(tokens, vocab, use_level)
-            if text is None:  # jamo that do not compose are written as they are
-                text = tokens_to_text(tokens, vocab)
-            hyps = [{"text": text, "level": use_level}]
-        else:  # beam
-            hyps = [
-                {"text": text, "log_prob": log_prob, "level": use_level}
-                for text, log_prob in beam_decode_texts(lattice, vocab, use_level, config.beam)[:top_k]
-            ]
-        return {"id": utt.id, "mode": mode, "level": use_level, "hypotheses": hyps}
-    except (HanjointError, OSError) as exc:  # an OSError names the file it could not read
-        return {"id": utt.id, "mode": mode, "error": str(exc)}
+def _decode(utterances, mode, level, syll_vocab, grap_vocab, config, top_k) -> list[dict]:
+    """One record per utterance, in corpus order.  Beam and joint modes
+    load utterances until their lattices hold _CHUNK_CELLS scores, then
+    decode the chunk as one batch.  An utterance whose lattices cannot be
+    read or decoded gets an error record."""
+    records: list[dict] = []
+    chunk: list[tuple[dict, str | None, list]] = []
+    cells = 0
+    for utt in utterances:
+        record = {"id": utt.id, "mode": mode}
+        records.append(record)
+        try:
+            use_level, lattices = _load(utt, mode, level, syll_vocab, grap_vocab)
+            if mode == "greedy":
+                vocab = syll_vocab if use_level == "syllable" else grap_vocab
+                record.update(_greedy_fields(use_level, lattices[0], vocab))
+                continue
+        except (HanjointError, OSError) as exc:  # an OSError names the file it could not read
+            record["error"] = str(exc)
+            continue
+        chunk.append((record, use_level, lattices))
+        cells += sum(lattice.scores.size for lattice in lattices)
+        if cells >= _CHUNK_CELLS:
+            _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k)
+            chunk, cells = [], 0
+    if chunk:
+        _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k)
+    return records
 
 
 def cmd_decode(args) -> int:
@@ -231,10 +274,7 @@ def cmd_decode(args) -> int:
     if args.mode == "joint" and (syll_vocab is None or grap_vocab is None):
         raise HanjointError("joint decoding needs both vocabularies in the corpus")
 
-    records = [
-        _decode_one(utt, args.mode, args.level, syll_vocab, grap_vocab, config, args.top_k)
-        for utt in utterances
-    ]
+    records = _decode(utterances, args.mode, args.level, syll_vocab, grap_vocab, config, args.top_k)
 
     manifest = RunManifest(
         command="decode",
@@ -599,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "decode", help="decode a corpus directory",
-        description="Decode every utterance of a corpus directory, one at a time, in corpus order.",
+        description="Decode every utterance of a corpus directory, in corpus order.",
     )
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=("greedy", "beam", "joint"), default="joint")

@@ -166,7 +166,7 @@ def ctc_loss_and_grad(logits: EmissionLattice, label: Sequence[int]) -> HeadLoss
     """
     lattice = normalize(logits)
     flat, lengths = _flatten([label], lattice.vocab_size)
-    F, V = lattice.scores.shape
+    F = lattice.frames
     if not label_feasible(label, F):
         return HeadLoss(NEG_INF, None, infeasible=True)
 
@@ -184,9 +184,17 @@ def ctc_loss_and_grad(logits: EmissionLattice, label: Sequence[int]) -> HeadLoss
 
     ext = np.zeros(alpha.shape[1], dtype=np.int64)  # each state's token: the kernel's emit
     ext[1::2] = flat
-    occupancy = np.zeros((F, V))
-    np.add.at(occupancy.T, ext, np.exp(alpha + reversed_alpha[::-1, ::-1] - lattice.scores[:, ext] - total).T)
-    grad = occupancy - np.exp(lattice.scores)
+    # Occupancy lands only on the label's distinct tokens and blank.  The
+    # gradient is 0.0 - exp(scores) everywhere, as a dense F x V occupancy
+    # would give, and occupancy + (0.0 - exp) on those columns, which is
+    # occupancy - exp(scores) bit for bit.
+    tokens = np.flatnonzero(np.bincount(ext))
+    occupancy = np.zeros((F, tokens.size))
+    posterior = np.exp(alpha + reversed_alpha[::-1, ::-1] - lattice.scores[:, ext] - total)
+    np.add.at(occupancy.T, np.searchsorted(tokens, ext), posterior.T)
+    grad = np.exp(lattice.scores)
+    np.subtract(0.0, grad, out=grad)
+    grad[:, tokens] += occupancy
     return HeadLoss(float(total), grad)
 
 

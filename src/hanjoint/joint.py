@@ -1,7 +1,8 @@
 """Joint decoding over syllable and grapheme beam candidates.
 
-Both beams are searched independently, grapheme hypotheses are composed
-into syllable text (non-composable ones are dropped and counted), the union
+Both beams are searched independently (as one beam batch, which
+:func:`joint_decode_batch` extends to many utterances), grapheme hypotheses
+are composed into syllable text (non-composable ones are dropped and counted), the union
 is deduplicated by text, and the whole union is rescored with one CTC
 forward pass per lattice.  That pass runs over a prefix trie of the union's
 labels, so candidates that share a prefix (most beam survivors do) share
@@ -24,10 +25,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .beam import BeamConfig, prefix_beam_search
+from .beam import BeamConfig, Hypothesis, prefix_beam_search_batch
 # ctc_log_prob is importable here because perfbench/layers.py traces joint.ctc_log_prob.
 from .ctc import ctc_log_prob, ctc_log_probs  # noqa: F401
-from .errors import BothBeamsEmpty, ConfigError, OutOfVocabulary
+from .errors import BothBeamsEmpty, ConfigError, HanjointError, OutOfVocabulary
 # Composition is called through this name: perfbench/layers.py traces joint.try_compose.
 from .hangul import try_compose
 from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, check_tokens, text_to_tokens
@@ -151,15 +152,58 @@ def joint_decode(
     """Rescored union of the two beams, best candidate first.
 
     Ties in joint score break lexicographically on text, so the ranking is
-    deterministic.
+    deterministic.  This is :func:`joint_decode_batch` of one utterance.
     """
+    (result,) = joint_decode_batch([(syll_lattice, grap_lattice)], syll_vocab, grap_vocab, config)
+    if isinstance(result, HanjointError):
+        raise result
+    return result
+
+
+def joint_decode_batch(
+    utterances: Sequence[tuple[EmissionLattice, EmissionLattice]],
+    syll_vocab: Vocabulary,
+    grap_vocab: Vocabulary,
+    config: JointConfig = JointConfig(),
+) -> list[JointDecodeResult | HanjointError]:
+    """:func:`joint_decode` of every (syllable, grapheme) lattice pair, with
+    both beams of every utterance searched in one batch.  An utterance that
+    fails gets its error in place of its result: the syllable beam's error
+    first, then the grapheme beam's, then :class:`BothBeamsEmpty` or a
+    rescoring error."""
+    beams = prefix_beam_search_batch(
+        [lattice for syll_lattice, grap_lattice in utterances for lattice in (syll_lattice, grap_lattice)],
+        [syll_vocab, grap_vocab] * len(utterances),
+        config.beam,
+        ["syllable", "grapheme"] * len(utterances),
+    )
+    results: list[JointDecodeResult | HanjointError] = []
+    for (syll_lattice, grap_lattice), syll_hyps, grap_hyps in zip(utterances, beams[::2], beams[1::2]):
+        try:
+            results.append(_joint_result(
+                syll_lattice, grap_lattice, syll_vocab, grap_vocab, config.gamma, (syll_hyps, grap_hyps),
+            ))
+        except HanjointError as exc:
+            results.append(exc)
+    return results
+
+
+def _joint_result(
+    syll_lattice: EmissionLattice,
+    grap_lattice: EmissionLattice,
+    syll_vocab: Vocabulary,
+    grap_vocab: Vocabulary,
+    gamma: float,
+    beams: tuple[list[Hypothesis] | HanjointError, list[Hypothesis] | HanjointError],
+) -> JointDecodeResult:
+    """The rescored union of one utterance's syllable and grapheme beams,
+    or the first beam's error."""
     provenance: dict[str, set[str]] = {}
     dropped = 0
-    for lattice, vocab, level in (
-        (syll_lattice, syll_vocab, "syllable"),
-        (grap_lattice, grap_vocab, "grapheme"),
-    ):
-        for hyp in prefix_beam_search(lattice, vocab, config.beam, level=level):
+    for hyps, vocab, level in zip(beams, (syll_vocab, grap_vocab), ("syllable", "grapheme")):
+        if isinstance(hyps, HanjointError):
+            raise hyps
+        for hyp in hyps:
             text = tokens_to_text(hyp.tokens, vocab, level)
             if text is None:
                 dropped += 1
@@ -171,7 +215,7 @@ def joint_decode(
 
     candidates = _rescore(
         [(text, frozenset(sources)) for text, sources in provenance.items()],
-        syll_lattice, grap_lattice, syll_vocab, grap_vocab, config.gamma,
+        syll_lattice, grap_lattice, syll_vocab, grap_vocab, gamma,
     )
     candidates.sort(key=lambda c: (-c.joint_score, c.text))
     return JointDecodeResult(candidates, dropped)
@@ -185,9 +229,27 @@ def beam_decode_texts(
 ) -> list[tuple[str, float]]:
     """Single-level beam decoding as (text, log_prob) pairs, best first.
     Grapheme hypotheses are composed; non-composable ones are skipped."""
-    out: list[tuple[str, float]] = []
-    for hyp in prefix_beam_search(lattice, vocab, config, level=level):
-        text = tokens_to_text(hyp.tokens, vocab, level)
-        if text is not None:
-            out.append((text, hyp.log_prob))
-    return out
+    (result,) = beam_decode_texts_batch([lattice], [vocab], [level], config)
+    if isinstance(result, HanjointError):
+        raise result
+    return result
+
+
+def beam_decode_texts_batch(
+    lattices: Sequence[EmissionLattice],
+    vocabs: Sequence[Vocabulary],
+    levels: Sequence[str],
+    config: BeamConfig = BeamConfig(),
+) -> list[list[tuple[str, float]] | HanjointError]:
+    """:func:`beam_decode_texts` of every lattice, each with its own
+    vocabulary and level, in one beam batch; a lattice that cannot be
+    searched gets its error in place of its texts."""
+    results: list[list[tuple[str, float]] | HanjointError] = []
+    searched = prefix_beam_search_batch(lattices, vocabs, config, levels)
+    for hyps, vocab, level in zip(searched, vocabs, levels):
+        if isinstance(hyps, HanjointError):
+            results.append(hyps)
+            continue
+        texts = ((tokens_to_text(hyp.tokens, vocab, level), hyp.log_prob) for hyp in hyps)
+        results.append([(text, log_prob) for text, log_prob in texts if text is not None])
+    return results

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hanjoint.beam import BeamConfig, Hypothesis, prefix_beam_search
+from hanjoint import beam
+from hanjoint.beam import BeamConfig, Hypothesis, prefix_beam_search, prefix_beam_search_batch
 from hanjoint.ctc import ctc_log_prob
-from hanjoint.lattice_io import EmissionLattice, Vocabulary
+from hanjoint.errors import HanjointError
+from hanjoint.lattice_io import EmissionLattice, Vocabulary, normalize
 from hanjoint.synth import brute_force_all, brute_force_best, random_lattice
 
 VOCAB3 = Vocabulary(("<ctc_blank>", "|", "a"))
@@ -168,10 +170,12 @@ def test_tie_break_is_lexicographic():
     assert [h.tokens for h in lone] == [(), (1,)]
 
 
-def test_matches_full_matrix_reference_on_random_lattices():
-    # V up to 45 and widths 1-8 keep vocabulary pruning active on most
-    # frames; integer logits force exact ties at the cutoff, and boosted
-    # runs of one token make repeats take the blank-ending extension path
+def reference_cases():
+    """(lattice, width) pairs on which the beam must match full_matrix_beam.
+
+    V up to 45 and widths 1-8 keep vocabulary pruning active on most
+    frames; integer logits force exact ties at the cutoff, and boosted runs
+    of one token make repeats take the blank-ending extension path."""
     rng = np.random.default_rng(2024)
     for k in range(1200):
         F = int(rng.integers(1, 13))
@@ -186,8 +190,96 @@ def test_matches_full_matrix_reference_on_random_lattices():
         lattice = EmissionLattice(
             logits - np.log(np.exp(logits).sum(axis=1, keepdims=True)), normalized=True
         )
-        got = prefix_beam_search(lattice, vocab_of(V), BeamConfig(beam_width=width))
-        assert got == full_matrix_beam(lattice, width), (k, F, V, width)
+        yield lattice, width
+
+
+def test_matches_full_matrix_reference_on_random_lattices():
+    for k, (lattice, width) in enumerate(reference_cases()):
+        got = prefix_beam_search(lattice, vocab_of(lattice.vocab_size), BeamConfig(beam_width=width))
+        assert got == full_matrix_beam(lattice, width), (k, lattice.scores.shape, width)
+
+
+@pytest.mark.parametrize("trie_nodes", [beam._TRIE_NODES, 8], ids=["default", "compact-often"])
+def test_batches_match_the_reference_and_their_batches_of_one(monkeypatch, trie_nodes):
+    # the reference lattices, with zero-frame ones mixed in, run as batches
+    # of one width that mix frame counts, vocabulary sizes, and rows with
+    # and without vocabulary pruning (or, in batches of small vocabularies
+    # only, none at all); compacting the trie every few frames must not
+    # change a result
+    monkeypatch.setattr(beam, "_TRIE_NODES", trie_nodes)
+    rng = np.random.default_rng(11)
+    groups: dict[tuple[int, bool], list[EmissionLattice]] = {}
+    for k, (lattice, width) in enumerate(reference_cases()):
+        group = groups.setdefault((width, lattice.vocab_size <= width + 2), [])
+        group.append(lattice)
+        if k % 50 == 0:
+            group.append(EmissionLattice(np.zeros((0, lattice.vocab_size)), normalized=True))
+    for (width, _), lattices in groups.items():
+        rng.shuffle(lattices)
+        config = BeamConfig(beam_width=width)
+        for start in range(0, len(lattices), 40):
+            batch = lattices[start:start + 40]
+            vocabs = [vocab_of(lattice.vocab_size) for lattice in batch]
+            got = prefix_beam_search_batch(batch, vocabs, config)
+            for lattice, vocab, hyps in zip(batch, vocabs, got):
+                assert hyps == full_matrix_beam(lattice, width), (width, lattice.scores.shape)
+                assert hyps == prefix_beam_search(lattice, vocab, config)
+
+
+def test_batch_reports_an_unsearchable_lattice_for_that_lattice_only():
+    rng = np.random.default_rng(12)
+    lattices = [random_lattice(rng, 5, 4), random_lattice(rng, 7, 3), random_lattice(rng, 3, 4),
+                EmissionLattice(rng.normal(size=(4, 4)))]
+    config = BeamConfig(beam_width=3)
+    got = prefix_beam_search_batch(lattices, [VOCAB4] * 4, config, ["syllable"] * 4)
+    assert isinstance(got[1], HanjointError)
+    assert str(got[1]) == "lattice vocab size 3 != vocabulary size 4"
+    assert isinstance(got[3], HanjointError)
+    assert str(got[3]) == "lattice must be normalized (log-probabilities)"
+    for k in (0, 2):
+        assert got[k] == prefix_beam_search(lattices[k], VOCAB4, config, "syllable")
+
+
+def test_batch_returns_to_every_token_after_its_widest_lattice_retires():
+    # lattice 0 fills the width-6 beam and retires after 3 frames; lattice 1,
+    # with a single non-blank token, holds fewer prefixes than the width for
+    # two more frames, so the search goes back to scoring every token
+    rng = np.random.default_rng(14)
+    lattices = [random_lattice(rng, 3, 4), random_lattice(rng, 5, 2)]
+    got = prefix_beam_search_batch(lattices, [VOCAB4, vocab_of(2)], BeamConfig(beam_width=6))
+    assert got == [full_matrix_beam(lattice, 6) for lattice in lattices]
+
+
+def test_trie_stays_bounded_on_a_600_frame_lattice(monkeypatch):
+    # A peaked 600-frame lattice creates about 35,000 prefixes.  Compaction
+    # keeps the trie to the ancestors of the live prefixes, and lets it grow
+    # to twice what the last compaction left (at least beam._TRIE_NODES),
+    # plus one frame's extensions.
+    sizes, compacted = [], [0]
+
+    class Recording(beam._Trie):
+        def child(self, parents, tokens):
+            ids = super().child(parents, tokens)
+            sizes.append(self.size)
+            return ids
+
+        def compact(self, live):
+            remap = super().compact(live)
+            compacted.append(self.size)
+            return remap
+
+    monkeypatch.setattr(beam, "_Trie", Recording)
+    rng = np.random.default_rng(13)
+    path = np.where(rng.random(600) < 0.4, 0, rng.integers(1, 30, size=600))
+    logits = rng.normal(0.0, 1.0, size=(600, 30))
+    logits[np.arange(600), path] += 4.0
+    lattice = normalize(EmissionLattice(logits))
+    width = 100
+    hyps = prefix_beam_search(lattice, vocab_of(30), BeamConfig(beam_width=width))
+    assert len(hyps) == width
+    created = int(np.diff(sizes, prepend=0).clip(min=0).sum())
+    assert len(compacted) > 3 and created > 2 * max(sizes)
+    assert max(sizes) <= 2 * max(beam._TRIE_NODES, *compacted) + width
 
 
 def test_recreated_prefix_keeps_its_node_id():

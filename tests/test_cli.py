@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hanjoint import cli
 from hanjoint.beam import BeamConfig, prefix_beam_search
 from hanjoint.cli import main
 from hanjoint.joint import beam_decode_texts, tokens_to_text
@@ -178,6 +179,61 @@ def test_unknown_magic_is_a_per_utterance_error(corpus, tmp_path):
     assert "utt0001.syll.lat" in records["utt0001"]["error"]
     assert "UTF-8" in records["utt0001"]["error"]
     assert all("hypotheses" in records[u] for u in ("utt0000", "utt0002", "utt0003"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "joint", "--beam", "5", "--top-k", "2"],
+    ["--mode", "beam", "--level", "syllable", "--beam", "5", "--top-k", "2"],
+], ids=["joint", "beam"])
+def test_bad_lattices_in_a_chunk_fail_only_their_utterances(corpus, tmp_path, argv):
+    def decode(name):
+        out = tmp_path / name
+        code = main(["decode", "--corpus", str(corpus), *argv, "--out", str(out)])
+        return code, out.read_text(encoding="utf-8").splitlines()
+
+    code, clean = decode("clean.jsonl")
+    assert code == 0
+    (corpus / "utt0001.syll.lat").write_bytes(b"CTCLgarbage")
+    path = corpus / "utt0002.syll.lat"
+    path.write_bytes(b"CTCX" + path.read_bytes()[4:])
+    code, broken = decode("broken.jsonl")
+    assert code == 1
+    # the chunk still decodes its other utterances, exactly as before
+    assert [broken[0], broken[3]] == [clean[0], clean[3]]
+    errors = [json.loads(line) for line in broken[1:3]]
+    assert [r["id"] for r in errors] == ["utt0001", "utt0002"]
+    assert all(set(r) == {"id", "mode", "error"} for r in errors)
+    assert "UTF-8" in errors[1]["error"]
+
+
+def test_vocabulary_size_mismatch_fails_only_its_utterance(corpus, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
+                 "--out", str(clean)]) == 0
+    save_lattice(EmissionLattice(np.log(np.full((3, 3), 1 / 3)), normalized=True),
+                 corpus / "utt0002.grap.lat")
+    out = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
+                 "--out", str(out)]) == 1
+    lines = out.read_text(encoding="utf-8").splitlines()
+    before = clean.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[2])["error"].startswith("lattice vocab size 3 != vocabulary size")
+    assert lines[:2] + lines[3:] == before[:2] + before[3:]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "joint", "--beam", "10", "--top-k", "3"],
+    ["--mode", "beam", "--level", "grapheme", "--beam", "10", "--top-k", "3"],
+], ids=["joint", "beam"])
+def test_chunking_does_not_change_the_output(corpus, tmp_path, monkeypatch, argv):
+    runs = []
+    # one chunk for the corpus; then a chunk per utterance; then chunks of two or so
+    for cells in (cli._CHUNK_CELLS, 1, 2 * load_lattice(corpus / "utt0000.syll.lat").scores.size):
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
+        out = tmp_path / f"{cells}.jsonl"
+        assert main(["decode", "--corpus", str(corpus), *argv, "--out", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_missing_corpus_is_config_error(tmp_path):

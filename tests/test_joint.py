@@ -9,8 +9,10 @@ from hanjoint.joint import (
     beam_decode_texts,
     combine_heads,
     joint_decode,
+    joint_decode_batch,
     rescore_candidate,
 )
+from hanjoint.errors import HanjointError
 from hanjoint.lattice_io import EmissionLattice, Vocabulary
 from hanjoint.synth import SynthSpec, gen_lattice, gen_oov_corpus, random_lattice
 
@@ -148,6 +150,20 @@ def test_oov_syllable_recovered_through_grapheme_beam():
     # the syllable decoder alone cannot produce the held-out syllable
     syll_only = beam_decode_texts(syll_lat, syll_vocab, "syllable", cfg.beam)
     assert all("흙" not in text for text, _ in syll_only)
+
+
+def test_joint_decode_batch_matches_joint_decode_and_isolates_errors():
+    rng = np.random.default_rng(31)
+    pairs = [random_pair(rng)[:2] for _ in range(4)]
+    # a grapheme lattice of the syllable vocabulary's size fails only its utterance
+    pairs[1] = (pairs[1][0], random_lattice(rng, 3, SYLL_VOCAB.size))
+    pairs.append((EmissionLattice(np.zeros((0, SYLL_VOCAB.size)), normalized=True), pairs[0][1]))
+    cfg = JointConfig(gamma=0.3, beam=BeamConfig(beam_width=6))
+    results = joint_decode_batch(pairs, SYLL_VOCAB, GRAP_VOCAB, cfg)
+    assert isinstance(results[1], HanjointError)
+    assert str(results[1]) == f"lattice vocab size {SYLL_VOCAB.size} != vocabulary size {GRAP_VOCAB.size}"
+    for k in (0, 2, 3, 4):
+        assert results[k] == joint_decode(*pairs[k], SYLL_VOCAB, GRAP_VOCAB, cfg)
 
 
 def test_zero_frame_lattices_yield_empty_hypothesis():
