@@ -166,9 +166,15 @@ def _scan_corpus(corpus: Path) -> tuple[Vocabulary | None, Vocabulary | None, li
 # decode
 # ---------------------------------------------------------------------------
 
-# Beam and joint decoding load utterances until their lattices hold this
-# many scores (frames x vocabulary, both heads), then search them as one batch.
+# Beam and joint decoding search a chunk of utterances as one batch.  A
+# chunk holds its lattices, 8 bytes a score, and for each lattice
+# beam_width hypotheses (a few hundred bytes each, joint candidates as much
+# again) and, each frame, beam_width * (scored tokens + 1) candidate scores.
+# It is decoded once its lattices hold _CHUNK_CELLS scores (32 MiB) or its
+# lattices times the beam width reach _CHUNK_HYPOTHESES: about 40 lattices
+# at the default width, past which larger batches decoded no faster.
 _CHUNK_CELLS = 1 << 22
+_CHUNK_HYPOTHESES = 1 << 12
 
 
 def _lattice(path: Path | None, vocab, level: str):
@@ -235,12 +241,12 @@ def _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k) -> None:
 
 def _decode(utterances, mode, level, syll_vocab, grap_vocab, config, top_k) -> list[dict]:
     """One record per utterance, in corpus order.  Beam and joint modes
-    load utterances until their lattices hold _CHUNK_CELLS scores, then
-    decode the chunk as one batch.  An utterance whose lattices cannot be
-    read or decoded gets an error record."""
+    decode chunks of utterances (see _CHUNK_CELLS), each as one batch.  An
+    utterance whose lattices cannot be read or decoded gets an error
+    record."""
     records: list[dict] = []
     chunk: list[tuple[dict, str | None, list]] = []
-    cells = 0
+    cells = hypotheses = 0
     for utt in utterances:
         record = {"id": utt.id, "mode": mode}
         records.append(record)
@@ -255,9 +261,10 @@ def _decode(utterances, mode, level, syll_vocab, grap_vocab, config, top_k) -> l
             continue
         chunk.append((record, use_level, lattices))
         cells += sum(lattice.scores.size for lattice in lattices)
-        if cells >= _CHUNK_CELLS:
+        hypotheses += len(lattices) * config.beam.beam_width
+        if cells >= _CHUNK_CELLS or hypotheses >= _CHUNK_HYPOTHESES:
             _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k)
-            chunk, cells = [], 0
+            chunk, cells, hypotheses = [], 0, 0
     if chunk:
         _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k)
     return records

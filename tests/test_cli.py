@@ -226,14 +226,34 @@ def test_vocabulary_size_mismatch_fails_only_its_utterance(corpus, tmp_path):
     ["--mode", "beam", "--level", "grapheme", "--beam", "10", "--top-k", "3"],
 ], ids=["joint", "beam"])
 def test_chunking_does_not_change_the_output(corpus, tmp_path, monkeypatch, argv):
+    batches = []
+
+    def recording(decode):
+        def batch(items, *rest):
+            batches[-1].append(len(items))
+            return decode(items, *rest)
+        return batch
+
+    for name in ("joint_decode_batch", "beam_decode_texts_batch"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    cells = load_lattice(corpus / "utt0000.syll.lat").scores.size
     runs = []
-    # one chunk for the corpus; then a chunk per utterance; then chunks of two or so
-    for cells in (cli._CHUNK_CELLS, 1, 2 * load_lattice(corpus / "utt0000.syll.lat").scores.size):
-        monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
-        out = tmp_path / f"{cells}.jsonl"
+    # one chunk for the corpus; a chunk per utterance by either bound; then
+    # chunks closed by the lattice cells of two utterances, and by the
+    # hypotheses of two utterances (two lattices of width 10 each in joint
+    # mode, one in beam mode)
+    for limits in ((cli._CHUNK_CELLS, cli._CHUNK_HYPOTHESES), (1, cli._CHUNK_HYPOTHESES),
+                   (cli._CHUNK_CELLS, 1), (2 * cells, cli._CHUNK_HYPOTHESES),
+                   (cli._CHUNK_CELLS, 40 if "joint" in argv else 20)):
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", limits[0])
+        monkeypatch.setattr(cli, "_CHUNK_HYPOTHESES", limits[1])
+        batches.append([])
+        out = tmp_path / "out.jsonl"
         assert main(["decode", "--corpus", str(corpus), *argv, "--out", str(out)]) == 0
         runs.append(out.read_bytes())
-    assert runs[0] == runs[1] == runs[2]
+    assert runs == [runs[0]] * 5
+    assert batches[:3] == [[4], [1, 1, 1, 1], [1, 1, 1, 1]]
+    assert max(batches[3]) < 4 and batches[4] == [2, 2]
 
 
 def test_missing_corpus_is_config_error(tmp_path):
