@@ -88,7 +88,6 @@ class Hypothesis:
 
     tokens: tuple[int, ...]
     log_prob: float
-    level: str | None = None
 
 
 class _Trie:
@@ -176,16 +175,14 @@ def prefix_beam_search_batch(
     lattices: Sequence[EmissionLattice],
     vocabs: Sequence[Vocabulary],
     config: BeamConfig = BeamConfig(),
-    levels: Sequence[str | None] | None = None,
 ) -> list[list[Hypothesis] | HanjointError]:
     """:func:`prefix_beam_search` of every lattice, each with its own
-    vocabulary and level, in one frame loop.  A lattice that cannot be
-    searched (not normalized, or a vocabulary of another size) gets its
-    error in place of its hypotheses; the others are searched as usual."""
-    levels = [None] * len(lattices) if levels is None else levels
+    vocabulary, in one frame loop.  A lattice that cannot be searched (not
+    normalized, or a vocabulary of another size) gets its error in place of
+    its hypotheses; the others are searched as usual."""
     results: list[list[Hypothesis] | HanjointError] = []
     batch = []
-    for b, (lattice, vocab, level) in enumerate(zip(lattices, vocabs, levels, strict=True)):
+    for b, (lattice, vocab) in enumerate(zip(lattices, vocabs, strict=True)):
         try:
             require_normalized(lattice)
             if lattice.vocab_size != vocab.size:
@@ -195,14 +192,14 @@ def prefix_beam_search_batch(
         except HanjointError as exc:
             results.append(exc)
             continue
-        results.append([Hypothesis((), 0.0, level)])
+        results.append([Hypothesis((), 0.0)])
         if lattice.frames:
             batch.append(b)
     # longest first, so the lattices still running are a leading block of rows
     batch.sort(key=lambda b: -lattices[b].frames)
     searched = _search([lattices[b].scores for b in batch], config.beam_width)
     for b, found in zip(batch, searched):
-        results[b] = [Hypothesis(tokens, log_prob, levels[b]) for tokens, log_prob in found]
+        results[b] = [Hypothesis(tokens, log_prob) for tokens, log_prob in found]
     return results
 
 
@@ -210,14 +207,13 @@ def prefix_beam_search(
     lattice: EmissionLattice,
     vocab: Vocabulary,
     config: BeamConfig = BeamConfig(),
-    level: str | None = None,
 ) -> list[Hypothesis]:
     """Top hypotheses of a normalized lattice, best first.
 
     Ranking and pruning use total prefix mass with ties broken by
     lexicographic token order, so results are deterministic.
     """
-    (result,) = prefix_beam_search_batch([lattice], [vocab], config, [level])
+    (result,) = prefix_beam_search_batch([lattice], [vocab], config)
     if isinstance(result, HanjointError):
         raise result
     return result

@@ -591,7 +591,7 @@ def cmd_synth(args) -> int:
     holdouts = [s for s in (args.holdouts.split(",") if args.holdouts else []) if s]
 
     spec = SynthSpec(
-        "", frames_per_token=args.frames_per_token, blank_gap=args.blank_gap,
+        frames_per_token=args.frames_per_token, blank_gap=args.blank_gap,
         noise=args.noise, seed=args.seed,
     )
     corpus = gen_oov_corpus(texts, holdouts, spec)
@@ -690,10 +690,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--texts", default=None, help="file of reference texts, one per line")
     group.add_argument("--random", type=int, default=None, help="number of random utterances")
     p.add_argument("--holdouts", default="", help="comma-separated syllables to hold out")
-    p.add_argument("--frames-per-token", type=int, default=3)
-    p.add_argument("--blank-gap", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--frames-per-token", type=int, default=3,
+                   help="frames per jamo, word boundary or passthrough character; a syllable spans its jamo")
+    p.add_argument("--blank-gap", type=int, default=1,
+                   help="blank frames between those units (at least 1 between two equal ones)")
+    p.add_argument("--noise", type=float, default=0.0,
+                   help="probability in [0, 1) spread evenly over the non-target tokens of every frame")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --random text sampling")
     p.add_argument("--format", choices=("binary", "text"), default="binary")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

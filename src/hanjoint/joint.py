@@ -175,7 +175,6 @@ def joint_decode_batch(
         [lattice for syll_lattice, grap_lattice in utterances for lattice in (syll_lattice, grap_lattice)],
         [syll_vocab, grap_vocab] * len(utterances),
         config.beam,
-        ["syllable", "grapheme"] * len(utterances),
     )
     results: list[JointDecodeResult | HanjointError] = []
     for (syll_lattice, grap_lattice), syll_hyps, grap_hyps in zip(utterances, beams[::2], beams[1::2]):
@@ -245,7 +244,7 @@ def beam_decode_texts_batch(
     vocabulary and level, in one beam batch; a lattice that cannot be
     searched gets its error in place of its texts."""
     results: list[list[tuple[str, float]] | HanjointError] = []
-    searched = prefix_beam_search_batch(lattices, vocabs, config, levels)
+    searched = prefix_beam_search_batch(lattices, vocabs, config)
     for hyps, vocab, level in zip(searched, vocabs, levels):
         if isinstance(hyps, HanjointError):
             results.append(hyps)

@@ -27,7 +27,6 @@ from .lattice_io import (
     Vocabulary,
     normalize,
     require_normalized,
-    text_to_units,
 )
 
 ENUMERATION_GUARD = 10**7
@@ -39,13 +38,12 @@ NOISE_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for a peaked lattice: each token holds ``frames_per_token``
-    frames at probability 1 - noise, separated by ``blank_gap``
-    blank-dominant frames.  ``seed`` feeds corpus-level randomization
-    (text sampling, spacing perturbation); single-lattice generation is
-    fully deterministic."""
+    """Recipe for peaked lattices on a shared frame timeline: each grapheme
+    unit holds ``frames_per_token`` frames at probability 1 - noise, and
+    units are separated by ``blank_gap`` blank-dominant frames.  No
+    generator reads ``seed`` yet (it is kept for a seeded noise model), so
+    lattice generation is fully deterministic."""
 
-    text: str
     frames_per_token: int = 3
     blank_gap: int = 1
     noise: float = 0.0
@@ -112,64 +110,67 @@ def random_lattice(rng: np.random.Generator, frames: int, vocab_size: int, scale
     return normalize(EmissionLattice(rng.normal(0.0, scale, size=(frames, vocab_size))))
 
 
-def _peaked_row(vocab_size: int, token: int | None, noise: float) -> np.ndarray:
-    eps = max(noise, NOISE_FLOOR)
-    if token is None:
-        return np.full(vocab_size, 1.0 / vocab_size)
-    row = np.full(vocab_size, eps / (vocab_size - 1))
-    row[token] = 1.0 - eps
-    return row
+def _timeline(text: str, spec: SynthSpec) -> tuple[dict[str, list[tuple[str, int, int]]], int]:
+    """Frame spans ``(unit, start, end)`` of each level's units (in the
+    order of ``text_to_units``) on one timeline, and the frame count.
 
-
-def _tokenize_with_confusion(
-    text: str, vocab: Vocabulary, level: str, extended_vocab: Vocabulary | None
-) -> list[int | None]:
-    """Token indices, with None marking units to emit as pure confusion
-    (in the extended vocabulary but held out of ``vocab``)."""
-    tokens: list[int | None] = []
-    for pos, unit in enumerate(text_to_units(text, level)):
-        if unit == " ":
-            tokens.append(vocab.delimiter_index)
-            continue
-        idx = vocab.index_of(unit)
-        if idx is not None:
-            tokens.append(idx)
-        elif extended_vocab is not None and unit in extended_vocab:
-            tokens.append(None)
-        else:
-            raise OutOfVocabulary(unit, pos)
-    return tokens
+    Every grapheme unit (a jamo, the word boundary or a passthrough
+    character) holds ``frames_per_token`` frames, units are separated by
+    ``blank_gap`` blank frames, and a syllable spans the frames from its
+    first jamo to its last.  Where two equal units would touch at either
+    level, one blank frame separates them, so the argmax path of each level
+    collapses back to its units.
+    """
+    spans: dict[str, list[tuple[str, int, int]]] = {"syllable": [], "grapheme": []}
+    t = 0
+    prev_char = prev_unit = None
+    for char in text:
+        start = None
+        for unit in hangul.decompose_text(char):
+            if prev_unit is not None:
+                touching = unit == prev_unit or (start is None and char == prev_char)
+                t += spec.blank_gap or int(touching)
+            start = t if start is None else start
+            spans["grapheme"].append((unit, t, t + spec.frames_per_token))
+            t += spec.frames_per_token
+            prev_unit = unit
+        spans["syllable"].append((char, start, t))
+        prev_char = char
+    return spans, t
 
 
 def gen_lattice(
-    spec: SynthSpec,
+    text: str,
     vocab: Vocabulary,
     level: str,
-    extended_vocab: Vocabulary | None = None,
+    spec: SynthSpec = SynthSpec(),
+    holdouts: frozenset[str] = frozenset(),
 ) -> EmissionLattice:
-    """Peaked lattice for a reference text.
+    """Peaked lattice of one level for a reference text, on the text's
+    shared timeline: both levels of one text get the same frame count.
 
-    Tokens outside ``vocab`` raise unless ``extended_vocab`` knows them, in
-    which case their frames carry a uniform (maximally confused) row, the
-    way an acoustic model behaves on a unit it never saw.  Adjacent equal
-    tokens always get at least one separating blank frame so the argmax
-    path collapses back to the text.
+    A unit in ``holdouts`` gets uniform (maximally confused) rows over its
+    span, the way an acoustic model behaves on a unit it never saw; any
+    other unit outside ``vocab`` raises :class:`OutOfVocabulary` with its
+    position in the level's unit sequence.
     """
-    tokens = _tokenize_with_confusion(spec.text, vocab, level, extended_vocab)
+    spans, frames = _timeline(text, spec)
+    if level not in spans:
+        raise ValueError(f"unknown level {level!r}")
     V = vocab.size
-    rows: list[np.ndarray] = []
-    prev: int | None = None
-    for k, tok in enumerate(tokens):
-        gap = spec.blank_gap
-        if k > 0 and tok is not None and tok == prev and gap == 0:
-            gap = 1
-        if k > 0:
-            rows.extend(_peaked_row(V, BLANK_INDEX, spec.noise) for _ in range(gap))
-        rows.extend(_peaked_row(V, tok, spec.noise) for _ in range(spec.frames_per_token))
-        prev = tok
-    if not rows:
-        return EmissionLattice(np.zeros((0, V)), normalized=True)
-    return EmissionLattice(np.log(np.stack(rows)), normalized=True)
+    eps = max(spec.noise, NOISE_FLOOR)
+    probs = np.full((frames, V), eps / (V - 1))
+    probs[:, BLANK_INDEX] = 1.0 - eps
+    for pos, (unit, start, end) in enumerate(spans[level]):
+        if unit in holdouts:
+            probs[start:end] = 1.0 / V
+            continue
+        tok = vocab.delimiter_index if unit == " " else vocab.index_of(unit)
+        if tok is None:
+            raise OutOfVocabulary(unit, pos)
+        probs[start:end] = eps / (V - 1)
+        probs[start:end, tok] = 1.0 - eps
+    return EmissionLattice(np.log(probs), normalized=True)
 
 
 @dataclass
@@ -205,7 +206,7 @@ def gen_oov_corpus(
     jamo only it supplies is therefore uncoverable and rejected.
     """
     holdouts = list(dict.fromkeys(holdout_syllables))
-    holdout_set = set(holdouts)
+    holdout_set = frozenset(holdouts)
     syll_units = [u for u in hangul.syllable_inventory(base_texts) if u not in holdout_set]
     train_like = ["".join(ch for ch in t if ch not in holdout_set) for t in base_texts]
     grap_units = hangul.grapheme_inventory(train_like)
@@ -220,18 +221,14 @@ def gen_oov_corpus(
 
     syll_vocab = Vocabulary.from_units(syll_units)
     grap_vocab = Vocabulary.from_units(grap_units)
-    full_syll_vocab = Vocabulary.from_units(hangul.syllable_inventory(base_texts))
-
-    utterances = []
-    for k, text in enumerate(base_texts):
-        utt_spec = SynthSpec(text, spec.frames_per_token, spec.blank_gap, spec.noise, spec.seed)
-        utterances.append(
-            SynthUtterance(
-                id=f"utt{k:04d}",
-                text=text,
-                syllable_lattice=gen_lattice(utt_spec, syll_vocab, "syllable", full_syll_vocab),
-                grapheme_lattice=gen_lattice(utt_spec, grap_vocab, "grapheme"),
-                holdout_positions=[i for i, ch in enumerate(text) if ch in holdout_set],
-            )
+    utterances = [
+        SynthUtterance(
+            id=f"utt{k:04d}",
+            text=text,
+            syllable_lattice=gen_lattice(text, syll_vocab, "syllable", spec, holdout_set),
+            grapheme_lattice=gen_lattice(text, grap_vocab, "grapheme", spec),
+            holdout_positions=[i for i, ch in enumerate(text) if ch in holdout_set],
         )
+        for k, text in enumerate(base_texts)
+    ]
     return OovCorpus(utterances, syll_vocab, grap_vocab, holdouts)

@@ -132,7 +132,7 @@ def _decode_corpus(corpus, mode, gamma=0.5, width=30):
 
 
 def test_criterion_6_oov_recovery(tmp_path, capsys):
-    spec = SynthSpec("", frames_per_token=2, blank_gap=1, noise=0.0)
+    spec = SynthSpec(frames_per_token=2, blank_gap=1, noise=0.0)
     corpus = gen_oov_corpus(OOV_TEXTS, HOLDOUTS, spec)
     total_occurrences = sum(len(u.holdout_positions) for u in corpus.utterances)
     assert total_occurrences == 12  # 10 holdouts + 2 repeats
@@ -147,7 +147,7 @@ def test_criterion_6_oov_recovery(tmp_path, capsys):
     assert joint_occ == total_occurrences
 
     # under noise, joint recoveries still contain the syllable-only ones
-    noisy = gen_oov_corpus(OOV_TEXTS, HOLDOUTS, SynthSpec("", 2, 1, noise=0.4))
+    noisy = gen_oov_corpus(OOV_TEXTS, HOLDOUTS, SynthSpec(2, 1, noise=0.4))
     noisy_syll_types, _ = _recoveries(noisy, _decode_corpus(noisy, "syllable"))
     noisy_joint_types, _ = _recoveries(noisy, _decode_corpus(noisy, "joint"))
     assert noisy_syll_types <= noisy_joint_types

@@ -231,13 +231,13 @@ def test_batch_reports_an_unsearchable_lattice_for_that_lattice_only():
     lattices = [random_lattice(rng, 5, 4), random_lattice(rng, 7, 3), random_lattice(rng, 3, 4),
                 EmissionLattice(rng.normal(size=(4, 4)))]
     config = BeamConfig(beam_width=3)
-    got = prefix_beam_search_batch(lattices, [VOCAB4] * 4, config, ["syllable"] * 4)
+    got = prefix_beam_search_batch(lattices, [VOCAB4] * 4, config)
     assert isinstance(got[1], HanjointError)
     assert str(got[1]) == "lattice vocab size 3 != vocabulary size 4"
     assert isinstance(got[3], HanjointError)
     assert str(got[3]) == "lattice must be normalized (log-probabilities)"
     for k in (0, 2):
-        assert got[k] == prefix_beam_search(lattices[k], VOCAB4, config, "syllable")
+        assert got[k] == prefix_beam_search(lattices[k], VOCAB4, config)
 
 
 def test_batch_returns_to_every_token_after_its_widest_lattice_retires():
@@ -329,12 +329,6 @@ def test_pruning_keeps_tokens_that_tie_only_after_rounding():
     hyps = prefix_beam_search(lattice, vocab_of(6), BeamConfig(beam_width=1))
     assert hyps == full_matrix_beam(lattice, 1)
     assert hyps[0].tokens == (4, 1)
-
-
-def test_level_is_attached():
-    lattice = EmissionLattice(np.zeros((0, 3)), normalized=True)
-    hyp = prefix_beam_search(lattice, VOCAB3, level="syllable")[0]
-    assert hyp.level == "syllable"
 
 
 def test_config_validation():

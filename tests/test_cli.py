@@ -6,7 +6,7 @@ import pytest
 from hanjoint import cli
 from hanjoint.beam import BeamConfig, prefix_beam_search
 from hanjoint.cli import main
-from hanjoint.joint import beam_decode_texts, tokens_to_text
+from hanjoint.joint import beam_decode_texts, rescore_candidate, tokens_to_text
 from hanjoint.lattice_io import EmissionLattice, Vocabulary, load_lattice, save_lattice
 
 TEXTS = ["가 나 흙 하", "나 그 가", "흙 닭 가", "가나 다"]
@@ -78,9 +78,19 @@ def test_joint_gamma_one_matches_syllable_beam(corpus, tmp_path):
           "--beam", "20", "--out", str(joint_out)])
     main(["decode", "--corpus", str(corpus), "--mode", "beam", "--level", "syllable",
           "--beam", "20", "--out", str(beam_out)])
-    joint_texts = [r["hypotheses"][0]["text"] for r in read_records(joint_out)]
-    beam_texts = [r["hypotheses"][0]["text"] for r in read_records(beam_out)]
-    assert joint_texts == beam_texts
+    refs = dict(line.split("\t") for line in (corpus / "refs.tsv").read_text().splitlines())
+    syll_vocab = Vocabulary.load(corpus / "syllable.vocab")
+    grap_vocab = Vocabulary.load(corpus / "grapheme.vocab")
+    for joint, beam in zip(read_records(joint_out), read_records(beam_out), strict=True):
+        joint_top, beam_top = joint["hypotheses"][0], beam["hypotheses"][0]
+        if "흙" not in refs[joint["id"]]:
+            assert joint_top["text"] == beam_top["text"]
+        # A held-out span is uniform over many frames, so the beam's pruned
+        # scores can rank its own hypotheses differently from exact
+        # rescoring; joint's top-1 is the union's best exact syllable score.
+        lattices = [load_lattice(corpus / f"{joint['id']}.{head}.lat") for head in ("syll", "grap")]
+        beam_exact = rescore_candidate(beam_top["text"], *lattices, syll_vocab, grap_vocab, 1.0)
+        assert joint_top["syll_log_prob"] >= beam_exact.syll_log_prob
 
 
 def test_joint_decode_recovers_holdout(corpus, tmp_path):

@@ -85,7 +85,7 @@ def test_rescoring_consistency_and_union_coverage():
 
 def test_batched_union_scores_equal_single_candidate_rescoring():
     texts = ["가 나 흙 하", "나 그 가", "흙 닭 가", "가나 다", "밝은 흙", "하나"]
-    corpus = gen_oov_corpus(texts, ["흙"], SynthSpec("", frames_per_token=2, noise=0.3, seed=5))
+    corpus = gen_oov_corpus(texts, ["흙"], SynthSpec(frames_per_token=2, noise=0.3, seed=5))
     cfg = JointConfig(gamma=0.5, beam=BeamConfig(beam_width=20))
     oov = 0
     for utt in corpus.utterances:
@@ -135,11 +135,10 @@ def test_combine_heads_identities():
 def test_oov_syllable_recovered_through_grapheme_beam():
     syll_vocab = Vocabulary(("<ctc_blank>", "|", "가"))
     grap_vocab = Vocabulary(("<ctc_blank>", "|", "ㄱ", "ㅎ", "ㅡ", "ㄺ", "ㅏ"))
-    extended = Vocabulary(("<ctc_blank>", "|", "가", "흙"))
 
-    spec = SynthSpec("흙", frames_per_token=2, blank_gap=1)
-    syll_lat = gen_lattice(spec, syll_vocab, "syllable", extended)
-    grap_lat = gen_lattice(spec, grap_vocab, "grapheme")
+    spec = SynthSpec(frames_per_token=2, blank_gap=1)
+    syll_lat = gen_lattice("흙", syll_vocab, "syllable", spec, frozenset({"흙"}))
+    grap_lat = gen_lattice("흙", grap_vocab, "grapheme", spec)
 
     cfg = JointConfig(gamma=0.5, beam=BeamConfig(beam_width=50))
     result = joint_decode(syll_lat, grap_lat, syll_vocab, grap_vocab, cfg)
