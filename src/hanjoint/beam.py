@@ -58,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, HanjointError
-from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, require_normalized
+from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, require_normalized, require_vocab_size
 
 NEG_INF = -np.inf
 # a bound, relative to the magnitudes added, on how far below the pruning
@@ -175,26 +175,16 @@ def prefix_beam_search_batch(
     lattices: Sequence[EmissionLattice],
     vocabs: Sequence[Vocabulary],
     config: BeamConfig = BeamConfig(),
-) -> list[list[Hypothesis] | HanjointError]:
+) -> list[list[Hypothesis]]:
     """:func:`prefix_beam_search` of every lattice, each with its own
-    vocabulary, in one frame loop.  A lattice that cannot be searched (not
-    normalized, or a vocabulary of another size) gets its error in place of
-    its hypotheses; the others are searched as usual."""
-    results: list[list[Hypothesis] | HanjointError] = []
-    batch = []
-    for b, (lattice, vocab) in enumerate(zip(lattices, vocabs, strict=True)):
-        try:
-            require_normalized(lattice)
-            if lattice.vocab_size != vocab.size:
-                raise HanjointError(
-                    f"lattice vocab size {lattice.vocab_size} != vocabulary size {vocab.size}"
-                )
-        except HanjointError as exc:
-            results.append(exc)
-            continue
-        results.append([Hypothesis((), 0.0)])
-        if lattice.frames:
-            batch.append(b)
+    vocabulary, in one frame loop.  Raises for the first lattice that
+    cannot be searched: one not normalized, or of another width than its
+    vocabulary."""
+    for lattice, vocab in zip(lattices, vocabs, strict=True):
+        require_normalized(lattice)
+        require_vocab_size(lattice, vocab)
+    results = [[Hypothesis((), 0.0)] for _ in lattices]
+    batch = [b for b, lattice in enumerate(lattices) if lattice.frames]
     # longest first, so the lattices still running are a leading block of rows
     batch.sort(key=lambda b: -lattices[b].frames)
     searched = _search([lattices[b].scores for b in batch], config.beam_width)
@@ -213,10 +203,7 @@ def prefix_beam_search(
     Ranking and pruning use total prefix mass with ties broken by
     lexicographic token order, so results are deterministic.
     """
-    (result,) = prefix_beam_search_batch([lattice], [vocab], config)
-    if isinstance(result, HanjointError):
-        raise result
-    return result
+    return prefix_beam_search_batch([lattice], [vocab], config)[0]
 
 
 def _search(scores: list[np.ndarray], width: int) -> list[_Ranked]:

@@ -41,12 +41,13 @@ from .lattice_io import (
     Vocabulary,
     load_lattice,
     normalize,
+    require_vocab_size,
     save_lattice,
 )
 from .metrics import EvalReport, UtteranceEval, levenshtein
 from .synth import SynthSpec, gen_oov_corpus
 
-SYLLABLE_POOL = "가나다라마바사아자차카타파하간존물꿈별빛손길말글강산바람닭흙값몫앉"
+SYLLABLE_POOL = "가나다라마바사아자차카타파하간존물꿈별빛손길말글강산바람닭흙밝값몫앉"
 
 
 @dataclass
@@ -97,17 +98,21 @@ def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str], str | None]:
     Returns the hypotheses, the error of every decode record that failed,
     and the decode mode: that of the first JSON record without an error,
     as ``mode:level`` when the record has a level (failed records carry
-    none)."""
+    none).  A line that starts with ``{`` but is not JSON, or a first
+    hypothesis without ``text``, raises an error naming the file and line."""
     text = path.read_text(encoding="utf-8")
     hyps: dict[str, str] = {}
     failed: dict[str, str] = {}
     mode: str | None = None
     mode_seen = False
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         if line.startswith("{"):
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise HanjointError(f"{path}, line {number}: not a JSON record: {exc}") from None
             if not mode_seen and "error" not in record:
                 mode_seen = True
                 mode = record.get("mode")
@@ -119,7 +124,10 @@ def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str], str | None]:
                 failed[record["id"]] = record["error"]
                 continue
             hypotheses = record.get("hypotheses", [])
-            hyps[record["id"]] = hypotheses[0]["text"] if hypotheses else ""
+            try:
+                hyps[record["id"]] = hypotheses[0]["text"] if hypotheses else ""
+            except (KeyError, TypeError):
+                raise HanjointError(f"{path}, line {number}: the first hypothesis has no text") from None
         else:
             utt_id, _, hyp = line.partition("\t")
             hyps[utt_id] = hyp
@@ -182,7 +190,9 @@ def _lattice(path: Path | None, vocab, level: str):
         raise HanjointError(f"no {level} lattice present")
     if vocab is None:
         raise HanjointError(f"no {level} vocabulary in the corpus")
-    return normalize(load_lattice(path))
+    lattice = load_lattice(path)
+    require_vocab_size(lattice, vocab)
+    return normalize(lattice)
 
 
 def _load(utt, mode, level, syll_vocab, grap_vocab):
@@ -209,7 +219,7 @@ def _greedy_fields(level, lattice, vocab) -> dict:
 
 def _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k) -> None:
     """Fill the records of one chunk of loaded (record, level, lattices)
-    from one beam batch; an utterance that fails gets its error."""
+    from one beam batch."""
     if mode == "joint":
         pairs = [tuple(lattices) for _, _, lattices in chunk]
         results = joint_decode_batch(pairs, syll_vocab, grap_vocab, config)
@@ -219,9 +229,7 @@ def _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k) -> None:
         heads = [lattices[0] for _, _, lattices in chunk]
         results = beam_decode_texts_batch(heads, vocabs, levels, config.beam)
     for (record, level, _), result in zip(chunk, results):
-        if isinstance(result, HanjointError):
-            record["error"] = str(result)
-        elif mode == "joint":
+        if mode == "joint":
             record["hypotheses"] = [
                 {
                     "text": c.text,
@@ -242,8 +250,8 @@ def _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k) -> None:
 def _decode(utterances, mode, level, syll_vocab, grap_vocab, config, top_k) -> list[dict]:
     """One record per utterance, in corpus order.  Beam and joint modes
     decode chunks of utterances (see _CHUNK_CELLS), each as one batch.  An
-    utterance whose lattices cannot be read or decoded gets an error
-    record."""
+    utterance whose lattices cannot be read, or do not fit their
+    vocabularies, gets an error record at load and joins no chunk."""
     records: list[dict] = []
     chunk: list[tuple[dict, str | None, list]] = []
     cells = hypotheses = 0

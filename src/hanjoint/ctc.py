@@ -30,6 +30,7 @@ from .lattice_io import (
     check_tokens,
     normalize,
     require_normalized,
+    require_vocab_size,
     text_to_tokens,
 )
 
@@ -209,9 +210,12 @@ def multitask_loss(
 ) -> LossResult:
     """Weighted sum of the two heads' CTC log-probabilities for one reference.
 
+    A lattice of another width than its vocabulary raises first.
     Out-of-vocabulary units and infeasible labels are reported per head
     (the raised error carries ``head`` = ``"syllable"`` or ``"grapheme"``).
     """
+    require_vocab_size(syll_logits, syll_vocab)
+    require_vocab_size(grap_logits, grap_vocab)
     heads: dict[str, HeadLoss] = {}
     for head, logits, vocab in (
         ("syllable", syll_logits, syll_vocab),

@@ -98,12 +98,6 @@ class EmptyReference(HanjointError):
     """Reference has no scoreable units."""
 
 
-# ---- joint decoding ----
-
-class BothBeamsEmpty(HanjointError):
-    """Neither level produced a candidate (possible only on degenerate input)."""
-
-
 # ---- synthetic corpora / oracles ----
 
 class TooLarge(HanjointError):

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .beam import BeamConfig, Hypothesis, prefix_beam_search_batch
-# ctc_log_prob is importable here because perfbench/layers.py traces joint.ctc_log_prob.
-from .ctc import ctc_log_prob, ctc_log_probs  # noqa: F401
-from .errors import BothBeamsEmpty, ConfigError, HanjointError, OutOfVocabulary
+from .ctc import ctc_log_probs
+from .errors import ConfigError, OutOfVocabulary
 # Composition is called through this name: perfbench/layers.py traces joint.try_compose.
 from .hangul import try_compose
-from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, check_tokens, text_to_tokens
+from .lattice_io import BLANK_INDEX, EmissionLattice, Vocabulary, check_tokens, require_vocab_size, text_to_tokens
 
 NEG_INF = -math.inf
 
@@ -124,6 +123,8 @@ def rescore_candidate(
     provenance: frozenset[str] = frozenset(),
 ) -> ScoredCandidate:
     """Score one text against both lattices, independent of any beam."""
+    require_vocab_size(syll_lattice, syll_vocab)
+    require_vocab_size(grap_lattice, grap_vocab)
     return _rescore([(text, provenance)], syll_lattice, grap_lattice, syll_vocab, grap_vocab, gamma)[0]
 
 
@@ -133,13 +134,16 @@ def tokens_to_text(tokens: Sequence[int], vocab: Vocabulary, level: str = "sylla
     The delimiter becomes a space; a blank or out-of-range id raises as in
     :func:`check_tokens`.  Syllable tokens are joined; grapheme tokens are
     composed into syllable blocks, and None means the jamo do not compose.
+    Any other level is a ``ValueError``, as in :func:`text_to_tokens`.
     """
     if tokens and not (BLANK_INDEX < min(tokens) and max(tokens) < vocab.size):
         check_tokens(tokens, vocab.size)  # raises for the first bad id
     units = [" " if tok == vocab.delimiter_index else vocab.tokens[tok] for tok in tokens]
     if level == "grapheme":
         return try_compose(units)
-    return "".join(units)
+    if level == "syllable":
+        return "".join(units)
+    raise ValueError(f"unknown level {level!r}")
 
 
 def joint_decode(
@@ -154,10 +158,7 @@ def joint_decode(
     Ties in joint score break lexicographically on text, so the ranking is
     deterministic.  This is :func:`joint_decode_batch` of one utterance.
     """
-    (result,) = joint_decode_batch([(syll_lattice, grap_lattice)], syll_vocab, grap_vocab, config)
-    if isinstance(result, HanjointError):
-        raise result
-    return result
+    return joint_decode_batch([(syll_lattice, grap_lattice)], syll_vocab, grap_vocab, config)[0]
 
 
 def joint_decode_batch(
@@ -165,26 +166,20 @@ def joint_decode_batch(
     syll_vocab: Vocabulary,
     grap_vocab: Vocabulary,
     config: JointConfig = JointConfig(),
-) -> list[JointDecodeResult | HanjointError]:
+) -> list[JointDecodeResult]:
     """:func:`joint_decode` of every (syllable, grapheme) lattice pair, with
-    both beams of every utterance searched in one batch.  An utterance that
-    fails gets its error in place of its result: the syllable beam's error
-    first, then the grapheme beam's, then :class:`BothBeamsEmpty` or a
-    rescoring error."""
+    both beams of every utterance searched in one batch.  Raises for the
+    first lattice the beam cannot search, as
+    :func:`prefix_beam_search_batch` does."""
     beams = prefix_beam_search_batch(
         [lattice for syll_lattice, grap_lattice in utterances for lattice in (syll_lattice, grap_lattice)],
         [syll_vocab, grap_vocab] * len(utterances),
         config.beam,
     )
-    results: list[JointDecodeResult | HanjointError] = []
-    for (syll_lattice, grap_lattice), syll_hyps, grap_hyps in zip(utterances, beams[::2], beams[1::2]):
-        try:
-            results.append(_joint_result(
-                syll_lattice, grap_lattice, syll_vocab, grap_vocab, config.gamma, (syll_hyps, grap_hyps),
-            ))
-        except HanjointError as exc:
-            results.append(exc)
-    return results
+    return [
+        _joint_result(syll_lattice, grap_lattice, syll_vocab, grap_vocab, config.gamma, (syll_hyps, grap_hyps))
+        for (syll_lattice, grap_lattice), syll_hyps, grap_hyps in zip(utterances, beams[::2], beams[1::2])
+    ]
 
 
 def _joint_result(
@@ -193,24 +188,20 @@ def _joint_result(
     syll_vocab: Vocabulary,
     grap_vocab: Vocabulary,
     gamma: float,
-    beams: tuple[list[Hypothesis] | HanjointError, list[Hypothesis] | HanjointError],
+    beams: tuple[list[Hypothesis], list[Hypothesis]],
 ) -> JointDecodeResult:
-    """The rescored union of one utterance's syllable and grapheme beams,
-    or the first beam's error."""
+    """The rescored union of one utterance's syllable and grapheme beams.
+    The syllable beam holds at least one hypothesis, and syllable tokens
+    always render, so the union is never empty."""
     provenance: dict[str, set[str]] = {}
     dropped = 0
     for hyps, vocab, level in zip(beams, (syll_vocab, grap_vocab), ("syllable", "grapheme")):
-        if isinstance(hyps, HanjointError):
-            raise hyps
         for hyp in hyps:
             text = tokens_to_text(hyp.tokens, vocab, level)
             if text is None:
                 dropped += 1
                 continue
             provenance.setdefault(text, set()).add(f"{level}_beam")
-
-    if not provenance:
-        raise BothBeamsEmpty("no candidate survived either beam")
 
     candidates = _rescore(
         [(text, frozenset(sources)) for text, sources in provenance.items()],
@@ -228,10 +219,7 @@ def beam_decode_texts(
 ) -> list[tuple[str, float]]:
     """Single-level beam decoding as (text, log_prob) pairs, best first.
     Grapheme hypotheses are composed; non-composable ones are skipped."""
-    (result,) = beam_decode_texts_batch([lattice], [vocab], [level], config)
-    if isinstance(result, HanjointError):
-        raise result
-    return result
+    return beam_decode_texts_batch([lattice], [vocab], [level], config)[0]
 
 
 def beam_decode_texts_batch(
@@ -239,16 +227,12 @@ def beam_decode_texts_batch(
     vocabs: Sequence[Vocabulary],
     levels: Sequence[str],
     config: BeamConfig = BeamConfig(),
-) -> list[list[tuple[str, float]] | HanjointError]:
+) -> list[list[tuple[str, float]]]:
     """:func:`beam_decode_texts` of every lattice, each with its own
-    vocabulary and level, in one beam batch; a lattice that cannot be
-    searched gets its error in place of its texts."""
-    results: list[list[tuple[str, float]] | HanjointError] = []
-    searched = prefix_beam_search_batch(lattices, vocabs, config)
-    for hyps, vocab, level in zip(searched, vocabs, levels):
-        if isinstance(hyps, HanjointError):
-            results.append(hyps)
-            continue
+    vocabulary and level, in one beam batch; raises for the first lattice
+    that cannot be searched."""
+    results = []
+    for hyps, vocab, level in zip(prefix_beam_search_batch(lattices, vocabs, config), vocabs, levels):
         texts = ((tokens_to_text(hyp.tokens, vocab, level), hyp.log_prob) for hyp in hyps)
         results.append([(text, log_prob) for text, log_prob in texts if text is not None])
     return results

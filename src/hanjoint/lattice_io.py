@@ -18,7 +18,9 @@ Lattices ship in two interchangeable formats:
 must be UTF-8 text.  The values of both are checked once, by
 :class:`EmissionLattice`.  Binary values are 32-bit floats; in memory all
 values are float64.  :func:`normalize` returns an already-normalized
-lattice unchanged, so callers apply it unconditionally.
+lattice unchanged, so callers apply it unconditionally.  Wherever a
+lattice meets its vocabulary, :func:`require_vocab_size` checks that the
+two have the same width.
 
 Text becomes token ids here (:func:`text_to_tokens`); the way back, token
 ids to text, is :func:`hanjoint.joint.tokens_to_text`.  Token ids that come
@@ -166,6 +168,12 @@ def require_normalized(lattice: EmissionLattice) -> None:
     """Reject raw logits where log-probabilities are needed."""
     if not lattice.normalized:
         raise HanjointError("lattice must be normalized (log-probabilities)")
+
+
+def require_vocab_size(lattice: EmissionLattice, vocab: Vocabulary) -> None:
+    """Reject a lattice whose width is not its vocabulary's size."""
+    if lattice.vocab_size != vocab.size:
+        raise HanjointError(f"lattice vocab size {lattice.vocab_size} != vocabulary size {vocab.size}")
 
 
 def _build(scores: np.ndarray, normalized: bool, path: str) -> EmissionLattice:

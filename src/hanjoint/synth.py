@@ -85,19 +85,13 @@ def brute_force_ctc(lattice: EmissionLattice, label) -> float:
     return brute_force_all(lattice).get(tuple(label), -np.inf)
 
 
-def brute_force_best(
-    lattice: EmissionLattice, vocab: Vocabulary, max_len: int | None = None
-) -> tuple[str, float]:
-    """Most probable collapsed label of length <= max_len, with the same
-    lexicographic tie-break the beam search uses."""
+def brute_force_best(lattice: EmissionLattice, vocab: Vocabulary) -> tuple[str, float]:
+    """Most probable collapsed label, with the same lexicographic tie-break
+    the beam search uses."""
     if lattice.frames == 0:
         return "", 0.0
-    masses = brute_force_all(lattice)
-    limit = lattice.frames if max_len is None else max_len
     best_label, best_lp = None, -np.inf
-    for label, lp in masses.items():
-        if len(label) > limit:
-            continue
+    for label, lp in brute_force_all(lattice).items():
         if lp > best_lp or (lp == best_lp and (best_label is None or label < best_label)):
             best_label, best_lp = label, lp
     if best_label is None:

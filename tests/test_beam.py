@@ -226,18 +226,21 @@ def test_batches_match_the_reference_and_their_batches_of_one(monkeypatch, trie_
                 assert hyps == prefix_beam_search(lattice, vocab, config)
 
 
-def test_batch_reports_an_unsearchable_lattice_for_that_lattice_only():
+def test_batch_raises_for_the_first_unsearchable_lattice():
     rng = np.random.default_rng(12)
     lattices = [random_lattice(rng, 5, 4), random_lattice(rng, 7, 3), random_lattice(rng, 3, 4),
                 EmissionLattice(rng.normal(size=(4, 4)))]
     config = BeamConfig(beam_width=3)
-    got = prefix_beam_search_batch(lattices, [VOCAB4] * 4, config)
-    assert isinstance(got[1], HanjointError)
-    assert str(got[1]) == "lattice vocab size 3 != vocabulary size 4"
-    assert isinstance(got[3], HanjointError)
-    assert str(got[3]) == "lattice must be normalized (log-probabilities)"
-    for k in (0, 2):
-        assert got[k] == prefix_beam_search(lattices[k], VOCAB4, config)
+    with pytest.raises(HanjointError, match=r"^lattice vocab size 3 != vocabulary size 4$"):
+        prefix_beam_search_batch(lattices, [VOCAB4] * 4, config)
+    with pytest.raises(HanjointError, match=r"^lattice vocab size 5 != vocabulary size 4$"):
+        prefix_beam_search_batch([lattices[0], random_lattice(rng, 2, 5)], [VOCAB4] * 2, config)
+    with pytest.raises(HanjointError, match=r"^lattice must be normalized \(log-probabilities\)$"):
+        prefix_beam_search_batch(lattices[2:], [VOCAB4] * 2, config)
+    searchable = [lattices[0], lattices[2]]
+    got = prefix_beam_search_batch(searchable, [VOCAB4] * 2, config)
+    for k, lattice in enumerate(searchable):
+        assert got[k] == prefix_beam_search(lattice, VOCAB4, config)
 
 
 def test_batch_returns_to_every_token_after_its_widest_lattice_retires():

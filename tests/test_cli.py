@@ -216,19 +216,34 @@ def test_bad_lattices_in_a_chunk_fail_only_their_utterances(corpus, tmp_path, ar
     assert "UTF-8" in errors[1]["error"]
 
 
-def test_vocabulary_size_mismatch_fails_only_its_utterance(corpus, tmp_path):
-    clean = tmp_path / "clean.jsonl"
-    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
-                 "--out", str(clean)]) == 0
-    save_lattice(EmissionLattice(np.log(np.full((3, 3), 1 / 3)), normalized=True),
-                 corpus / "utt0002.grap.lat")
-    out = tmp_path / "dec.jsonl"
-    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
-                 "--out", str(out)]) == 1
-    lines = out.read_text(encoding="utf-8").splitlines()
-    before = clean.read_text(encoding="utf-8").splitlines()
-    assert json.loads(lines[2])["error"].startswith("lattice vocab size 3 != vocabulary size")
-    assert lines[:2] + lines[3:] == before[:2] + before[3:]
+@pytest.mark.parametrize("extra", [1, -1], ids=["wider", "narrower"])
+@pytest.mark.parametrize("argv, level", [
+    (["decode", "--mode", "greedy", "--level", "syllable"], "syllable"),
+    (["decode", "--mode", "beam", "--level", "grapheme", "--beam", "5"], "grapheme"),
+    (["decode", "--mode", "joint", "--beam", "5"], "grapheme"),
+    (["loss"], "syllable"),
+], ids=["greedy", "beam", "joint", "loss"])
+def test_vocabulary_size_mismatch_fails_only_its_utterance(corpus, tmp_path, argv, level, extra):
+    def run(name):
+        out = tmp_path / name
+        code = main([argv[0], "--corpus", str(corpus), *argv[1:], "--out", str(out)])
+        # (id, line) in corpus order; loss adds a corpus line without an id
+        lines = out.read_text(encoding="utf-8").splitlines()
+        return code, [(json.loads(line).get("id"), line) for line in lines]
+
+    _, clean = run("clean.jsonl")
+    path = corpus / f"utt0001.{level[:4]}.lat"
+    size = Vocabulary.load(corpus / f"{level}.vocab").size
+    frames = load_lattice(path).frames
+    save_lattice(EmissionLattice(np.full((frames, size + extra), -np.log(size + extra)), normalized=True), path)
+    code, broken = run("broken.jsonl")
+    assert code == 1
+    record = json.loads(broken[1][1])
+    assert record.pop("error") == f"lattice vocab size {size + extra} != vocabulary size {size}"
+    assert record == ({"id": "utt0001", "mode": argv[2]} if argv[0] == "decode" else {"id": "utt0001"})
+    # every other utterance's record is the clean run's, byte for byte
+    assert [item for item in broken if item[0] not in ("utt0001", None)] == \
+        [item for item in clean if item[0] not in ("utt0001", None)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -476,6 +491,28 @@ def test_oov_report_failed_decode_record(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main([*report_args, "--decodes", str(missing)]) == 2
     assert "'utt0002' has no counterpart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"id": "utt0002", "mode": "joint", "hypotheses": [', "not a JSON record: "),
+    ('{"id": "utt0002", "mode": "joint", "hypotheses": [{"joint_score": 0.0}]}',
+     "the first hypothesis has no text\n"),
+], ids=["not-json", "no-text"])
+def test_malformed_decode_file_is_a_file_error(corpus, tmp_path, capsys, bad, message):
+    decoded = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
+                 "--out", str(decoded)]) == 0
+    lines = decoded.read_text(encoding="utf-8").splitlines()
+    lines[2] = bad
+    decoded.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    refs = str(corpus / "refs.tsv")
+    for argv in (["eval", "--refs", refs, "--hyps", str(decoded)],
+                 ["oov-report", "--refs", refs, "--decodes", str(decoded),
+                  "--train-vocab", str(corpus / "syllable.vocab"),
+                  "--grapheme-vocab", str(corpus / "grapheme.vocab")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {decoded}, line 3: {message}")
 
 
 def test_beam_grapheme_top_k_skips_non_composable(tmp_path):

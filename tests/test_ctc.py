@@ -382,6 +382,19 @@ def test_multitask_infeasible_names_head():
     assert multitask_loss(tiny, grap, "가", SYLL_VOCAB, GRAP_VOCAB).total <= 0
 
 
+@pytest.mark.parametrize("head", ["syllable", "grapheme"])
+@pytest.mark.parametrize("extra", [1, -1], ids=["wider", "narrower"])
+def test_multitask_rejects_a_lattice_of_another_width(head, extra):
+    rng = np.random.default_rng(15)
+    lattices = dict(zip(("syllable", "grapheme"), make_loss_inputs(rng)))
+    size = {"syllable": SYLL_VOCAB, "grapheme": GRAP_VOCAB}[head].size
+    lattices[head] = EmissionLattice(rng.normal(size=(8, size + extra)))
+    for with_grad in (False, True):
+        with pytest.raises(HanjointError, match=f"^lattice vocab size {size + extra} != vocabulary size {size}$"):
+            multitask_loss(lattices["syllable"], lattices["grapheme"], "가", SYLL_VOCAB, GRAP_VOCAB,
+                           with_grad=with_grad)
+
+
 def test_lambda_validation():
     with pytest.raises(ValueError):
         MultiTaskLossConfig(1.5)

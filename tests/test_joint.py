@@ -151,18 +151,30 @@ def test_oov_syllable_recovered_through_grapheme_beam():
     assert all("흙" not in text for text, _ in syll_only)
 
 
-def test_joint_decode_batch_matches_joint_decode_and_isolates_errors():
+def test_joint_decode_batch_matches_joint_decode_and_raises_for_a_bad_lattice():
     rng = np.random.default_rng(31)
     pairs = [random_pair(rng)[:2] for _ in range(4)]
-    # a grapheme lattice of the syllable vocabulary's size fails only its utterance
-    pairs[1] = (pairs[1][0], random_lattice(rng, 3, SYLL_VOCAB.size))
+    # a grapheme lattice of the syllable vocabulary's size fails the batch that holds it
+    bad = (pairs[1][0], random_lattice(rng, 3, SYLL_VOCAB.size))
     pairs.append((EmissionLattice(np.zeros((0, SYLL_VOCAB.size)), normalized=True), pairs[0][1]))
     cfg = JointConfig(gamma=0.3, beam=BeamConfig(beam_width=6))
+    message = f"^lattice vocab size {SYLL_VOCAB.size} != vocabulary size {GRAP_VOCAB.size}$"
+    with pytest.raises(HanjointError, match=message):
+        joint_decode_batch([pairs[0], bad, *pairs[2:]], SYLL_VOCAB, GRAP_VOCAB, cfg)
     results = joint_decode_batch(pairs, SYLL_VOCAB, GRAP_VOCAB, cfg)
-    assert isinstance(results[1], HanjointError)
-    assert str(results[1]) == f"lattice vocab size {SYLL_VOCAB.size} != vocabulary size {GRAP_VOCAB.size}"
-    for k in (0, 2, 3, 4):
+    for k in range(len(pairs)):
         assert results[k] == joint_decode(*pairs[k], SYLL_VOCAB, GRAP_VOCAB, cfg)
+
+
+@pytest.mark.parametrize("head", ["syllable", "grapheme"])
+@pytest.mark.parametrize("extra", [1, -1], ids=["wider", "narrower"])
+def test_rescore_candidate_rejects_a_lattice_of_another_width(head, extra):
+    rng = np.random.default_rng(32)
+    lattices = dict(zip(("syllable", "grapheme"), random_pair(rng)[:2]))
+    size = {"syllable": SYLL_VOCAB, "grapheme": GRAP_VOCAB}[head].size
+    lattices[head] = random_lattice(rng, 4, size + extra)
+    with pytest.raises(HanjointError, match=f"^lattice vocab size {size + extra} != vocabulary size {size}$"):
+        rescore_candidate("가", lattices["syllable"], lattices["grapheme"], SYLL_VOCAB, GRAP_VOCAB, 0.5)
 
 
 def test_zero_frame_lattices_yield_empty_hypothesis():

@@ -253,3 +253,13 @@ def test_tokens_to_text_inverse():
         for tokens, level in (([bad], "syllable"), ([2, bad], "grapheme")):
             with pytest.raises(HanjointError, match=f"token index {bad} outside vocabulary of size 4"):
                 tokens_to_text(tokens, jamo, level)
+
+
+def test_tokens_to_text_rejects_an_unknown_level_as_text_to_tokens_does():
+    jamo = Vocabulary.from_units(["ㄱ", "ㅏ"])
+    for level in ("graphemes", "Syllable", ""):
+        with pytest.raises(ValueError, match=f"^unknown level {level!r}$"):
+            text_to_tokens("가", jamo, level)
+        for tokens in ([2, 3], []):
+            with pytest.raises(ValueError, match=f"^unknown level {level!r}$"):
+                tokens_to_text(tokens, jamo, level)
