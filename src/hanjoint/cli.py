@@ -14,12 +14,15 @@ and re-running a command with the same arguments reproduces the output
 byte for byte.  Exit codes: 0 on success, 1 when any utterance failed,
 2 on configuration or file-format errors.  A flag value out of range
 (``--beam`` or ``--top-k`` below 1, ``--gamma`` or ``--lambda`` outside
-[0, 1]) is a configuration error, reported before any lattice is read.
+[0, 1]) is a configuration error, reported before any lattice is read,
+as is a vocabulary file missing for a level the run needs.
 
 A corpus directory contains ``syllable.vocab``, ``grapheme.vocab``,
 ``refs.tsv`` (id<TAB>text), and per-utterance ``<id>.syll.lat`` /
 ``<id>.grap.lat`` lattice files in either lattice format, told apart by
-the file's magic bytes.
+the file's magic bytes.  A ``decode`` run decodes every utterance at one
+level: ``--level`` in greedy and beam modes (default: syllable when
+the corpus has ``syllable.vocab``, else grapheme), both in joint mode.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ from .synth import SynthSpec, gen_oov_corpus
 
 SYLLABLE_POOL = "가나다라마바사아자차카타파하간존물꿈별빛손길말글강산바람닭흙밝값몫앉"
 
+# The lattice file suffix of each level, in the order joint decoding and
+# the loss take the levels.
+_LATTICE_SUFFIXES = {"syllable": ".syll.lat", "grapheme": ".grap.lat"}
+_LEVELS = tuple(_LATTICE_SUFFIXES)
+
 
 @dataclass
 class RunManifest:
@@ -70,7 +78,7 @@ def _dump(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def _emit(lines: list[str], out: str | None, manifest: RunManifest | None = None) -> None:
+def _emit(lines: list[str], out: str | None, manifest: RunManifest) -> None:
     text = "".join(line + "\n" for line in lines)
     if out is None:
         sys.stdout.write(text)
@@ -78,8 +86,18 @@ def _emit(lines: list[str], out: str | None, manifest: RunManifest | None = None
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
-        if manifest is not None:
-            manifest.write(path)
+        manifest.write(path)
+
+
+def _finish(records: list[dict], out: str | None, manifest: RunManifest) -> int:
+    """Write a run's records and manifest; exit code 1 when any utterance
+    record is an error, else 0."""
+    _emit([_dump(r) for r in records], out, manifest)
+    failed = sum("error" in r for r in records)
+    if failed:
+        print(f"{failed}/{sum('id' in r for r in records)} utterances failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _read_refs(path: Path) -> dict[str, str]:
@@ -92,14 +110,17 @@ def _read_refs(path: Path) -> dict[str, str]:
     return refs
 
 
-def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str], str | None]:
-    """TSV id<TAB>text, or decode JSONL (top-1 hypothesis per record).
+def _read_hyps(path: Path, refs: dict[str, str]) -> tuple[dict[str, str], dict[str, str], str | None]:
+    """TSV id<TAB>text, or decode JSONL (top-1 hypothesis per record),
+    holding exactly the ids of ``refs``.
 
     Returns the hypotheses, the error of every decode record that failed,
     and the decode mode: that of the first JSON record without an error,
     as ``mode:level`` when the record has a level (failed records carry
     none).  A line that starts with ``{`` but is not JSON, or a first
-    hypothesis without ``text``, raises an error naming the file and line."""
+    hypothesis without ``text``, raises an error naming the file and line;
+    a reference without a record, or a record without a reference, raises
+    :class:`UnmatchedId`."""
     text = path.read_text(encoding="utf-8")
     hyps: dict[str, str] = {}
     failed: dict[str, str] = {}
@@ -131,6 +152,9 @@ def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str], str | None]:
         else:
             utt_id, _, hyp = line.partition("\t")
             hyps[utt_id] = hyp
+    for utt_id in (*refs, *hyps, *failed):
+        if (utt_id in refs) != (utt_id in hyps or utt_id in failed):
+            raise UnmatchedId(utt_id)
     return hyps, failed, mode
 
 
@@ -138,36 +162,55 @@ def _read_hyps(path: Path) -> tuple[dict[str, str], dict[str, str], str | None]:
 class CorpusUtterance:
     id: str
     reference: str | None
-    syll_path: Path | None
-    grap_path: Path | None
+    paths: dict[str, Path]  # the lattice file of each level present
 
 
-def _scan_corpus(corpus: Path) -> tuple[Vocabulary | None, Vocabulary | None, list[CorpusUtterance]]:
-    syll_vocab_path = corpus / "syllable.vocab"
-    grap_vocab_path = corpus / "grapheme.vocab"
-    syll_vocab = Vocabulary.load(syll_vocab_path) if syll_vocab_path.exists() else None
-    grap_vocab = Vocabulary.load(grap_vocab_path) if grap_vocab_path.exists() else None
+def _scan_corpus(corpus: Path) -> tuple[dict[str, Vocabulary], list[CorpusUtterance]]:
+    """The vocabulary of each level whose file the corpus holds, and its
+    utterances: the ids of refs.tsv, then those of the other syllable and
+    grapheme lattice files, in file-name order."""
+    vocabs = {level: Vocabulary.load(corpus / f"{level}.vocab")
+              for level in _LEVELS if (corpus / f"{level}.vocab").exists()}
 
     refs_path = corpus / "refs.tsv"
     refs = _read_refs(refs_path) if refs_path.exists() else {}
 
     ids: dict[str, None] = dict.fromkeys(refs)
-    for path in sorted(corpus.glob("*.syll.lat")) + sorted(corpus.glob("*.grap.lat")):
-        ids.setdefault(path.name.split(".")[0], None)
+    for suffix in _LATTICE_SUFFIXES.values():
+        for path in sorted(corpus.glob(f"*{suffix}")):
+            ids.setdefault(path.name[: -len(suffix)], None)
 
     utterances = []
     for utt_id in ids:
-        syll_path = corpus / f"{utt_id}.syll.lat"
-        grap_path = corpus / f"{utt_id}.grap.lat"
-        utterances.append(
-            CorpusUtterance(
-                utt_id,
-                refs.get(utt_id),
-                syll_path if syll_path.exists() else None,
-                grap_path if grap_path.exists() else None,
-            )
-        )
-    return syll_vocab, grap_vocab, utterances
+        paths = {level: corpus / f"{utt_id}{suffix}" for level, suffix in _LATTICE_SUFFIXES.items()}
+        utterances.append(CorpusUtterance(
+            utt_id, refs.get(utt_id), {level: path for level, path in paths.items() if path.exists()}
+        ))
+    return vocabs, utterances
+
+
+def _vocabularies(vocabs: dict[str, Vocabulary], levels) -> list[Vocabulary]:
+    """The vocabulary of each level; a level whose vocabulary file the
+    corpus lacks is a configuration error, raised before any lattice is
+    read."""
+    for level in levels:
+        if level not in vocabs:
+            raise HanjointError(f"no {level} vocabulary in the corpus")
+    return [vocabs[level] for level in levels]
+
+
+def _lattices(utt: CorpusUtterance, levels, vocabs) -> list:
+    """The utterance's lattice at each level, as loaded (not normalized),
+    each checked against its level's vocabulary.  A missing file raises
+    ``no {level} lattice present``; read and format errors pass through."""
+    lattices = []
+    for level, vocab in zip(levels, vocabs):
+        if level not in utt.paths:
+            raise HanjointError(f"no {level} lattice present")
+        lattice = load_lattice(utt.paths[level])
+        require_vocab_size(lattice, vocab)
+        lattices.append(lattice)
+    return lattices
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +228,6 @@ _CHUNK_CELLS = 1 << 22
 _CHUNK_HYPOTHESES = 1 << 12
 
 
-def _lattice(path: Path | None, vocab, level: str):
-    if path is None:
-        raise HanjointError(f"no {level} lattice present")
-    if vocab is None:
-        raise HanjointError(f"no {level} vocabulary in the corpus")
-    lattice = load_lattice(path)
-    require_vocab_size(lattice, vocab)
-    return normalize(lattice)
-
-
-def _load(utt, mode, level, syll_vocab, grap_vocab):
-    """The level and the normalized lattices one utterance is decoded from:
-    both heads for joint mode, else the requested level's (default:
-    syllable when present)."""
-    if mode == "joint":
-        if utt.syll_path is None or utt.grap_path is None:
-            raise HanjointError("joint decoding needs both syllable and grapheme lattices")
-        return None, [_lattice(utt.syll_path, syll_vocab, "syllable"),
-                      _lattice(utt.grap_path, grap_vocab, "grapheme")]
-    level = level or ("syllable" if utt.syll_path is not None else "grapheme")
-    path, vocab = (utt.syll_path, syll_vocab) if level == "syllable" else (utt.grap_path, grap_vocab)
-    return level, [_lattice(path, vocab, level)]
-
-
 def _greedy_fields(level, lattice, vocab) -> dict:
     tokens = greedy_decode(lattice)
     text = tokens_to_text(tokens, vocab, level)
@@ -217,18 +236,15 @@ def _greedy_fields(level, lattice, vocab) -> dict:
     return {"level": level, "hypotheses": [{"text": text, "level": level}]}
 
 
-def _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k) -> None:
-    """Fill the records of one chunk of loaded (record, level, lattices)
-    from one beam batch."""
+def _decode_chunk(chunk, mode, levels, vocabs, config, top_k) -> None:
+    """Fill the records of one chunk of loaded (record, lattices) from one
+    beam batch."""
     if mode == "joint":
-        pairs = [tuple(lattices) for _, _, lattices in chunk]
-        results = joint_decode_batch(pairs, syll_vocab, grap_vocab, config)
+        results = joint_decode_batch([tuple(lattices) for _, lattices in chunk], *vocabs, config)
     else:
-        levels = [level for _, level, _ in chunk]
-        vocabs = [syll_vocab if level == "syllable" else grap_vocab for level in levels]
-        heads = [lattices[0] for _, _, lattices in chunk]
-        results = beam_decode_texts_batch(heads, vocabs, levels, config.beam)
-    for (record, level, _), result in zip(chunk, results):
+        results = beam_decode_texts_batch([lattices[0] for _, lattices in chunk], vocabs[0], levels[0],
+                                          config.beam)
+    for (record, _), result in zip(chunk, results):
         if mode == "joint":
             record["hypotheses"] = [
                 {
@@ -242,39 +258,40 @@ def _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k) -> None:
             ]
             record["dropped_non_composable"] = result.dropped_non_composable
         else:
-            record["level"] = level
-            record["hypotheses"] = [{"text": text, "log_prob": log_prob, "level": level}
+            record["level"] = levels[0]
+            record["hypotheses"] = [{"text": text, "log_prob": log_prob, "level": levels[0]}
                                     for text, log_prob in result[:top_k]]
 
 
-def _decode(utterances, mode, level, syll_vocab, grap_vocab, config, top_k) -> list[dict]:
-    """One record per utterance, in corpus order.  Beam and joint modes
-    decode chunks of utterances (see _CHUNK_CELLS), each as one batch.  An
-    utterance whose lattices cannot be read, or do not fit their
-    vocabularies, gets an error record at load and joins no chunk."""
+def _decode(utterances, mode, levels, vocabs, config, top_k) -> list[dict]:
+    """One record per utterance, in corpus order, decoded from its
+    normalized lattices at ``levels`` (both in joint mode, else one).  Beam
+    and joint modes decode chunks of utterances (see _CHUNK_CELLS), each as
+    one batch.  An utterance whose lattices are missing, cannot be read, or
+    do not fit their vocabularies gets an error record at load and joins no
+    chunk."""
     records: list[dict] = []
-    chunk: list[tuple[dict, str | None, list]] = []
+    chunk: list[tuple[dict, list]] = []
     cells = hypotheses = 0
     for utt in utterances:
         record = {"id": utt.id, "mode": mode}
         records.append(record)
         try:
-            use_level, lattices = _load(utt, mode, level, syll_vocab, grap_vocab)
+            lattices = [normalize(lattice) for lattice in _lattices(utt, levels, vocabs)]
             if mode == "greedy":
-                vocab = syll_vocab if use_level == "syllable" else grap_vocab
-                record.update(_greedy_fields(use_level, lattices[0], vocab))
+                record.update(_greedy_fields(levels[0], lattices[0], vocabs[0]))
                 continue
         except (HanjointError, OSError) as exc:  # an OSError names the file it could not read
             record["error"] = str(exc)
             continue
-        chunk.append((record, use_level, lattices))
+        chunk.append((record, lattices))
         cells += sum(lattice.scores.size for lattice in lattices)
         hypotheses += len(lattices) * config.beam.beam_width
         if cells >= _CHUNK_CELLS or hypotheses >= _CHUNK_HYPOTHESES:
-            _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k)
+            _decode_chunk(chunk, mode, levels, vocabs, config, top_k)
             chunk, cells, hypotheses = [], 0, 0
     if chunk:
-        _decode_chunk(chunk, mode, syll_vocab, grap_vocab, config, top_k)
+        _decode_chunk(chunk, mode, levels, vocabs, config, top_k)
     return records
 
 
@@ -283,13 +300,15 @@ def cmd_decode(args) -> int:
     if args.top_k < 1:
         raise HanjointError(f"--top-k must be >= 1, got {args.top_k}")
     corpus = Path(args.corpus)
-    syll_vocab, grap_vocab, utterances = _scan_corpus(corpus)
+    vocabs, utterances = _scan_corpus(corpus)
     if not utterances:
         raise HanjointError(f"no utterances found in {corpus}")
-    if args.mode == "joint" and (syll_vocab is None or grap_vocab is None):
-        raise HanjointError("joint decoding needs both vocabularies in the corpus")
+    if args.mode == "joint":
+        levels = _LEVELS
+    else:
+        levels = (args.level or ("syllable" if "syllable" in vocabs else "grapheme"),)
 
-    records = _decode(utterances, args.mode, args.level, syll_vocab, grap_vocab, config, args.top_k)
+    records = _decode(utterances, args.mode, levels, _vocabularies(vocabs, levels), config, args.top_k)
 
     manifest = RunManifest(
         command="decode",
@@ -304,12 +323,7 @@ def cmd_decode(args) -> int:
         version=__version__,
         seed=None,
     )
-    _emit([_dump(r) for r in records], args.out, manifest)
-    failed = sum(1 for r in records if "error" in r)
-    if failed:
-        print(f"{failed}/{len(records)} utterances failed", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(records, args.out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +337,7 @@ def _edit_record(summary) -> dict:
 
 def cmd_eval(args) -> int:
     refs = _read_refs(Path(args.refs))
-    hyps, failed, _ = _read_hyps(Path(args.hyps))
-    for utt_id in refs:
-        if utt_id not in hyps and utt_id not in failed:
-            raise UnmatchedId(utt_id)
-    for utt_id in (*hyps, *failed):
-        if utt_id not in refs:
-            raise UnmatchedId(utt_id)
+    hyps, failed, _ = _read_hyps(Path(args.hyps), refs)
 
     records = []
     scored = []
@@ -364,12 +372,7 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
     manifest = RunManifest("eval", {}, [args.refs, args.hyps], __version__, None)
-    _emit([_dump(r) for r in records], args.out, manifest)
-    failed_count = len(refs) - len(scored)
-    if failed_count:
-        print(f"{failed_count}/{len(refs)} utterances failed", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(records, args.out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -379,53 +382,35 @@ def cmd_eval(args) -> int:
 def cmd_loss(args) -> int:
     config = MultiTaskLossConfig(args.lam)
     corpus = Path(args.corpus)
-    syll_vocab, grap_vocab, utterances = _scan_corpus(corpus)
-    if syll_vocab is None or grap_vocab is None:
-        raise HanjointError("loss needs both vocabularies in the corpus")
+    vocabs, utterances = _scan_corpus(corpus)
+    vocabs = _vocabularies(vocabs, _LEVELS)
 
     records = []
     totals = []
     for utt in utterances:
-        if utt.reference is None:
-            records.append({"id": utt.id, "error": "no reference"})
-            continue
-        if utt.syll_path is None or utt.grap_path is None:
-            records.append({"id": utt.id, "error": "needs both lattices"})
-            continue
+        record = {"id": utt.id}
+        records.append(record)
         try:
-            result = multitask_loss(
-                load_lattice(utt.syll_path),
-                load_lattice(utt.grap_path),
-                utt.reference,
-                syll_vocab,
-                grap_vocab,
-                config,
-            )
+            if utt.reference is None:
+                raise HanjointError("no reference")
+            result = multitask_loss(*_lattices(utt, _LEVELS, vocabs), utt.reference, *vocabs, config)
         except (OutOfVocabulary, InfeasibleLabel) as exc:
-            records.append({"id": utt.id, "error": str(exc), "head": exc.head})
+            record.update(error=str(exc), head=exc.head)
             continue
         except (HanjointError, OSError) as exc:
-            records.append({"id": utt.id, "error": str(exc)})
+            record["error"] = str(exc)
             continue
         totals.append(result.total)
-        records.append(
-            {
-                "id": utt.id,
-                "total": result.total,
-                "syllable_log_prob": result.syllable_log_prob,
-                "grapheme_log_prob": result.grapheme_log_prob,
-            }
+        record.update(
+            total=result.total,
+            syllable_log_prob=result.syllable_log_prob,
+            grapheme_log_prob=result.grapheme_log_prob,
         )
     if totals:
         records.append({"corpus_mean_total": float(np.mean(totals)), "scored": len(totals)})
 
     manifest = RunManifest("loss", {"lambda": args.lam}, [str(corpus)], __version__, None)
-    _emit([_dump(r) for r in records], args.out, manifest)
-    failed = sum(1 for r in records if "error" in r)
-    if failed:
-        print(f"{failed} utterances failed", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(records, args.out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +501,7 @@ def cmd_oov_report(args) -> int:
     recovery = {}
     failed_count = 0
     for decode_path in args.decodes:
-        hyps, failed, mode = _read_hyps(Path(decode_path))
+        hyps, failed, mode = _read_hyps(Path(decode_path), refs)
         recovered_types: set[str] = set()
         recovered_occ = 0
         failed_ids = []
@@ -524,11 +509,8 @@ def cmd_oov_report(args) -> int:
             if utt_id in failed:
                 failed_ids.append(utt_id)
                 continue
-            hypothesis = hyps.get(utt_id)
-            if hypothesis is None:
-                raise UnmatchedId(utt_id)
             ref_chars = [ch for ch in reference if ch != " "]
-            positions = _recovered_positions(reference, hypothesis, constructible)
+            positions = _recovered_positions(reference, hyps[utt_id], constructible)
             recovered_occ += len(positions)
             recovered_types.update(ref_chars[i] for i in positions)
         key = mode or Path(decode_path).name
@@ -659,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=("greedy", "beam", "joint"), default="joint")
     p.add_argument("--level", choices=("syllable", "grapheme"), default=None,
-                   help="lattice level for greedy/beam modes (default: syllable when present)")
+                   help="lattice level of every utterance in greedy/beam modes "
+                        "(default: syllable when the corpus has syllable.vocab, else grapheme)")
     p.add_argument("--beam", type=int, default=100)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--top-k", type=int, default=1, help="hypotheses per utterance (>= 1)")

@@ -120,12 +120,11 @@ def rescore_candidate(
     syll_vocab: Vocabulary,
     grap_vocab: Vocabulary,
     gamma: float,
-    provenance: frozenset[str] = frozenset(),
 ) -> ScoredCandidate:
     """Score one text against both lattices, independent of any beam."""
     require_vocab_size(syll_lattice, syll_vocab)
     require_vocab_size(grap_lattice, grap_vocab)
-    return _rescore([(text, provenance)], syll_lattice, grap_lattice, syll_vocab, grap_vocab, gamma)[0]
+    return _rescore([(text, frozenset())], syll_lattice, grap_lattice, syll_vocab, grap_vocab, gamma)[0]
 
 
 def tokens_to_text(tokens: Sequence[int], vocab: Vocabulary, level: str = "syllable") -> str | None:
@@ -219,20 +218,20 @@ def beam_decode_texts(
 ) -> list[tuple[str, float]]:
     """Single-level beam decoding as (text, log_prob) pairs, best first.
     Grapheme hypotheses are composed; non-composable ones are skipped."""
-    return beam_decode_texts_batch([lattice], [vocab], [level], config)[0]
+    return beam_decode_texts_batch([lattice], vocab, level, config)[0]
 
 
 def beam_decode_texts_batch(
     lattices: Sequence[EmissionLattice],
-    vocabs: Sequence[Vocabulary],
-    levels: Sequence[str],
+    vocab: Vocabulary,
+    level: str,
     config: BeamConfig = BeamConfig(),
 ) -> list[list[tuple[str, float]]]:
-    """:func:`beam_decode_texts` of every lattice, each with its own
-    vocabulary and level, in one beam batch; raises for the first lattice
-    that cannot be searched."""
+    """:func:`beam_decode_texts` of every lattice, all of one vocabulary
+    and level, in one beam batch; raises for the first lattice that cannot
+    be searched."""
     results = []
-    for hyps, vocab, level in zip(prefix_beam_search_batch(lattices, vocabs, config), vocabs, levels):
+    for hyps in prefix_beam_search_batch(lattices, [vocab] * len(lattices), config):
         texts = ((tokens_to_text(hyp.tokens, vocab, level), hyp.log_prob) for hyp in hyps)
         results.append([(text, log_prob) for text, log_prob in texts if text is not None])
     return results

@@ -223,6 +223,8 @@ def _parse_text(data: bytes, path: str) -> EmissionLattice:
         frames, vocab = int(head[0]), int(head[1])
     except ValueError as exc:
         raise DimensionMismatch(f"{path}: bad header {lines[0]!r}") from exc
+    if frames < 0 or vocab < 0:
+        raise DimensionMismatch(f"{path}: negative dimension in header {lines[0]!r}")
     normalized = False
     if len(head) == 3:
         if head[2] not in ("norm", "raw"):

@@ -134,18 +134,101 @@ def test_out_of_range_flag_is_config_error(corpus, tmp_path, capsys, argv, messa
 
 
 @pytest.mark.parametrize("mode", ["beam", "greedy"])
-def test_missing_level_vocabulary_is_a_per_utterance_error(corpus, tmp_path, mode):
+def test_missing_level_vocabulary_is_a_config_error(corpus, tmp_path, capsys, mode):
     (corpus / "syllable.vocab").unlink()
     out = tmp_path / "dec.jsonl"
     code = main(["decode", "--corpus", str(corpus), "--mode", mode, "--level", "syllable",
                  "--beam", "5", "--out", str(out)])
-    assert code == 1
-    records = read_records(out)
-    assert [r["id"] for r in records] == [f"utt{k:04d}" for k in range(len(TEXTS))]
-    assert all(r["error"] == "no syllable vocabulary in the corpus" for r in records)
+    assert code == 2
+    assert capsys.readouterr().err == "error: no syllable vocabulary in the corpus\n"
+    assert not out.exists() and not (tmp_path / "dec.jsonl.manifest.json").exists()
     # the grapheme level is still decoded from the same corpus
     assert main(["decode", "--corpus", str(corpus), "--mode", mode, "--level", "grapheme",
                  "--beam", "5", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv, level", [
+    (["decode", "--mode", "joint", "--beam", "5"], "syllable"),
+    (["decode", "--mode", "joint", "--beam", "5"], "grapheme"),
+    (["loss"], "syllable"),
+    (["loss"], "grapheme"),
+], ids=["joint-syllable", "joint-grapheme", "loss-syllable", "loss-grapheme"])
+def test_missing_vocabulary_of_a_needed_level_is_a_config_error(corpus, tmp_path, capsys, argv, level):
+    (corpus / f"{level}.vocab").unlink()
+    out = tmp_path / "out.jsonl"
+    assert main([argv[0], "--corpus", str(corpus), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no {level} vocabulary in the corpus\n"
+    assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["beam", "greedy"])
+def test_default_level_is_chosen_once_per_run(corpus, tmp_path, capsys, mode):
+    (corpus / "utt0000.syll.lat").unlink()
+    out = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", mode, "--beam", "5",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(f"1/{len(TEXTS)} utterances failed\n")
+    records = read_records(out)
+    # the utterance without a syllable lattice is not decoded at another level
+    assert records[0] == {"id": "utt0000", "mode": mode, "error": "no syllable lattice present"}
+    assert [r["level"] for r in records[1:]] == ["syllable"] * (len(TEXTS) - 1)
+
+
+@pytest.mark.parametrize("level", ["syllable", "grapheme"])
+def test_decode_and_loss_report_a_missing_lattice_alike(corpus, tmp_path, capsys, level):
+    (corpus / f"utt0001.{level[:4]}.lat").unlink()
+    message = f"no {level} lattice present"
+    decoded = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
+                 "--out", str(decoded)]) == 1
+    assert read_records(decoded)[1] == {"id": "utt0001", "mode": "joint", "error": message}
+    out = tmp_path / "loss.jsonl"
+    capsys.readouterr()
+    assert main(["loss", "--corpus", str(corpus), "--out", str(out)]) == 1
+    # utt0000 and utt0002 hold the held-out syllable
+    assert capsys.readouterr().err == f"3/{len(TEXTS)} utterances failed\n"
+    assert read_records(out)[1] == {"id": "utt0001", "error": message}
+
+
+def test_loss_utterance_without_reference_is_a_per_utterance_error(corpus, tmp_path, capsys):
+    refs = corpus / "refs.tsv"
+    lines = refs.read_text(encoding="utf-8").splitlines()
+    refs.write_text("".join(line + "\n" for line in lines if not line.startswith("utt0001\t")),
+                    encoding="utf-8")
+    out = tmp_path / "loss.jsonl"
+    assert main(["loss", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"3/{len(TEXTS)} utterances failed\n"
+    records = read_records(out)
+    # the ids of refs.tsv come first, then those of lattice files alone
+    assert [r.get("id") for r in records] == ["utt0000", "utt0002", "utt0003", "utt0001", None]
+    assert records[3] == {"id": "utt0001", "error": "no reference"}
+
+
+def test_dotted_ids_make_no_phantom_utterances(tmp_path):
+    texts_file = tmp_path / "texts.txt"
+    texts_file.write_text("가 나\n다\n", encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--texts", str(texts_file), "--seed", "7", "--out", str(corpus)]) == 0
+    for head in ("syll", "grap"):
+        (corpus / f"utt0000.{head}.lat").rename(corpus / f"a.b.{head}.lat")
+    refs = corpus / "refs.tsv"
+    refs.write_text(refs.read_text(encoding="utf-8").replace("utt0000\t", "a.b\t"), encoding="utf-8")
+    for argv in (["decode", "--mode", "joint", "--beam", "5"], ["loss"]):
+        out = tmp_path / "out.jsonl"
+        assert main([argv[0], "--corpus", str(corpus), *argv[1:], "--out", str(out)]) == 0
+        assert [r["id"] for r in read_records(out) if "id" in r] == ["a.b", "utt0001"]
+
+
+def test_negative_text_lattice_width_is_a_per_utterance_error(corpus, tmp_path):
+    (corpus / "utt0001.syll.lat").write_text("1 -1 norm\n0.0\n", encoding="utf-8")
+    out = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "beam", "--level", "syllable",
+                 "--beam", "5", "--out", str(out)]) == 1
+    records = read_records(out)
+    error = records[1].pop("error")
+    assert "utt0001.syll.lat" in error and "negative dimension" in error
+    assert records[1] == {"id": "utt0001", "mode": "beam"}
+    assert all("hypotheses" in r for k, r in enumerate(records) if k != 1)
 
 
 def test_decode_writes_manifest(corpus, tmp_path):
@@ -491,6 +574,24 @@ def test_oov_report_failed_decode_record(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main([*report_args, "--decodes", str(missing)]) == 2
     assert "'utt0002' has no counterpart" in capsys.readouterr().err
+
+
+def test_eval_and_oov_report_reject_a_decode_id_without_a_reference(corpus, tmp_path, capsys):
+    decoded = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",
+                 "--out", str(decoded)]) == 0
+    lines = decoded.read_text(encoding="utf-8").splitlines()
+    extra = json.loads(lines[0])
+    extra["id"] = "extra"
+    decoded.write_text("".join(line + "\n" for line in [*lines, json.dumps(extra)]), encoding="utf-8")
+    refs = str(corpus / "refs.tsv")
+    for argv in (["eval", "--refs", refs, "--hyps", str(decoded)],
+                 ["oov-report", "--refs", refs, "--decodes", str(decoded),
+                  "--train-vocab", str(corpus / "syllable.vocab"),
+                  "--grapheme-vocab", str(corpus / "grapheme.vocab")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: utterance id 'extra' has no counterpart\n"
 
 
 @pytest.mark.parametrize("bad, message", [
