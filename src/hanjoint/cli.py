@@ -168,7 +168,8 @@ class CorpusUtterance:
 def _scan_corpus(corpus: Path) -> tuple[dict[str, Vocabulary], list[CorpusUtterance]]:
     """The vocabulary of each level whose file the corpus holds, and its
     utterances: the ids of refs.tsv, then those of the other syllable and
-    grapheme lattice files, in file-name order."""
+    grapheme lattice files, in file-name order.  A corpus without
+    utterances is a configuration error."""
     vocabs = {level: Vocabulary.load(corpus / f"{level}.vocab")
               for level in _LEVELS if (corpus / f"{level}.vocab").exists()}
 
@@ -186,6 +187,8 @@ def _scan_corpus(corpus: Path) -> tuple[dict[str, Vocabulary], list[CorpusUttera
         utterances.append(CorpusUtterance(
             utt_id, refs.get(utt_id), {level: path for level, path in paths.items() if path.exists()}
         ))
+    if not utterances:
+        raise HanjointError(f"no utterances found in {corpus}")
     return vocabs, utterances
 
 
@@ -301,8 +304,6 @@ def cmd_decode(args) -> int:
         raise HanjointError(f"--top-k must be >= 1, got {args.top_k}")
     corpus = Path(args.corpus)
     vocabs, utterances = _scan_corpus(corpus)
-    if not utterances:
-        raise HanjointError(f"no utterances found in {corpus}")
     if args.mode == "joint":
         levels = _LEVELS
     else:

@@ -9,7 +9,9 @@ not pairs.
 
 A decomposed text is a flat list of single-character strings: jamo letters,
 ``" "`` for a word boundary, and any non-Hangul character passed through
-verbatim.
+verbatim.  Composition reads it back by the block grammar: each block is an
+initial, a vowel and an optional final, and every other item stands alone.
+A consonant after a vowel is that block's final unless a vowel follows it.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ FINALS = (
 CONSONANTS = frozenset(INITIALS) | frozenset(FINALS[1:])
 VOWELS = frozenset(MEDIALS)
 JAMO_INVENTORY = CONSONANTS | VOWELS
-
-WORD_BOUNDARY = " "
 
 _INITIAL_INDEX = {ch: i for i, ch in enumerate(INITIALS)}
 _MEDIAL_INDEX = {ch: i for i, ch in enumerate(MEDIALS)}
@@ -83,71 +83,42 @@ def decompose_text(text: str) -> list[str]:
     return items
 
 
-def _block(initial: str, medial: str, final: str = "") -> str:
-    code = (_INITIAL_INDEX[initial] * 21 + _MEDIAL_INDEX[medial]) * 28
-    return chr(SYLLABLE_BASE + code + _FINAL_INDEX[final])
-
-
 def compose_jamo(items: Sequence[str]) -> str:
-    """Assemble a jamo sequence back into syllable text.
+    """Assemble a jamo sequence back into syllable text by the block grammar.
 
-    Left-to-right with one symbol of lookahead: consonant+vowel opens a
-    block; a consonant after an open block becomes its final unless a vowel
-    follows, in which case it starts the next block instead.  Word
-    boundaries emit a space, passthrough characters emit verbatim.
+    An item outside the jamo inventory (a word boundary or a passthrough
+    character) is emitted as it is.  At a jamo a block starts: an initial
+    and the vowel after it, then the next consonant as the block's final
+    unless a vowel follows that consonant, which then opens the next block.
 
-    Raises :class:`NonComposable` (with the offending position) whenever an
-    item can neither extend the current block nor start a new one: a vowel
-    with no initial, a consonant that is not a legal final where a final is
-    required, or a consonant left dangling without a vowel.
+    Raises :class:`NonComposable` at the first item that cannot be placed:
+    a jamo that cannot start a block (a vowel, a final-only consonant such
+    as ㄳ, or a consonant with no vowel after it), or a consonant that must
+    be a final but is not a legal one (ㄸ, ㅃ, ㅉ).
     """
-    out: list[str] = []
-    pending: str | None = None  # consonant waiting for its vowel
-    pending_pos = -1
-    block: tuple[str, str] | None = None  # open (initial, medial)
-
     n = len(items)
-    for i, item in enumerate(items):
-        if item in VOWELS:
-            if pending is not None:
-                if pending not in _INITIAL_INDEX:
-                    raise NonComposable(pending_pos)
-                block = (pending, item)
-                pending = None
-            else:
-                # either a leading vowel or a vowel after a finished block
-                raise NonComposable(i)
-        elif item in CONSONANTS:
-            if pending is not None:
-                raise NonComposable(pending_pos)
-            if block is not None:
-                next_is_vowel = i + 1 < n and items[i + 1] in VOWELS
-                if next_is_vowel:
-                    out.append(_block(*block))
-                    block = None
-                    if item not in _INITIAL_INDEX:
-                        raise NonComposable(i)
-                    pending, pending_pos = item, i
-                else:
-                    if item not in _FINAL_INDEX:
-                        raise NonComposable(i)
-                    out.append(_block(*block, item))
-                    block = None
-            else:
-                pending, pending_pos = item, i
-        else:
-            # word boundary or passthrough: closes any open block
-            if pending is not None:
-                raise NonComposable(pending_pos)
-            if block is not None:
-                out.append(_block(*block))
-                block = None
-            out.append(item)
 
-    if pending is not None:
-        raise NonComposable(pending_pos)
-    if block is not None:
-        out.append(_block(*block))
+    def vowel_at(j: int) -> bool:
+        return j < n and items[j] in VOWELS
+
+    out: list[str] = []
+    i = 0
+    while i < n:
+        item = items[i]
+        if item not in JAMO_INVENTORY:
+            out.append(item)
+            i += 1
+            continue
+        if item not in _INITIAL_INDEX or not vowel_at(i + 1):
+            raise NonComposable(i)
+        code = (_INITIAL_INDEX[item] * 21 + _MEDIAL_INDEX[items[i + 1]]) * 28
+        i += 2
+        if i < n and items[i] in CONSONANTS and not vowel_at(i + 1):
+            if items[i] not in _FINAL_INDEX:
+                raise NonComposable(i)
+            code += _FINAL_INDEX[items[i]]
+            i += 1
+        out.append(chr(SYLLABLE_BASE + code))
     return "".join(out)
 
 

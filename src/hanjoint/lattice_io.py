@@ -88,9 +88,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
@@ -235,6 +232,11 @@ def _parse_text(data: bytes, path: str) -> EmissionLattice:
         raise TruncatedFile(f"{path}: expected {frames} rows, found {len(rows)}")
     if len(rows) > frames:
         raise DimensionMismatch(f"{path}: expected {frames} rows, found {len(rows)}")
+    # Each value takes one character at least, so rows shorter than that
+    # cannot hold the header's F x V values: rejected before allocating them.
+    if sum(map(len, rows)) < frames * vocab:
+        raise DimensionMismatch(f"{path}: header {lines[0]!r} needs {frames * vocab} values, "
+                                f"more than its rows can hold")
     scores = np.empty((frames, vocab), dtype=np.float64)
     for f, line in enumerate(rows):
         parts = line.split()

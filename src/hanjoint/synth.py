@@ -80,22 +80,16 @@ def brute_force_all(lattice: EmissionLattice) -> dict[tuple[int, ...], float]:
 def brute_force_ctc(lattice: EmissionLattice, label) -> float:
     """log p(label) by explicit enumeration; -inf when no path collapses to
     the label."""
-    if lattice.frames == 0:
-        return 0.0 if len(label) == 0 else -np.inf
     return brute_force_all(lattice).get(tuple(label), -np.inf)
 
 
 def brute_force_best(lattice: EmissionLattice, vocab: Vocabulary) -> tuple[str, float]:
     """Most probable collapsed label, with the same lexicographic tie-break
     the beam search uses."""
-    if lattice.frames == 0:
-        return "", 0.0
     best_label, best_lp = None, -np.inf
     for label, lp in brute_force_all(lattice).items():
         if lp > best_lp or (lp == best_lp and (best_label is None or label < best_label)):
             best_label, best_lp = label, lp
-    if best_label is None:
-        return "", -np.inf
     return tokens_to_text(best_label, vocab), best_lp
 
 

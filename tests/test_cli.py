@@ -330,6 +330,48 @@ def test_vocabulary_size_mismatch_fails_only_its_utterance(corpus, tmp_path, arg
 
 
 @pytest.mark.parametrize("argv", [
+    ["decode", "--mode", "greedy", "--level", "grapheme"],
+    ["decode", "--mode", "beam", "--level", "grapheme", "--beam", "5"],
+    ["decode", "--mode", "joint", "--beam", "5"],
+    ["loss"],
+], ids=["greedy", "beam", "joint", "loss"])
+def test_header_larger_than_its_file_fails_only_its_utterance(corpus, tmp_path, argv):
+    def run(name):
+        out = tmp_path / name
+        code = main([argv[0], "--corpus", str(corpus), *argv[1:], "--out", str(out)])
+        lines = out.read_text(encoding="utf-8").splitlines()
+        return code, [(json.loads(line).get("id"), line) for line in lines]
+
+    _, clean = run("clean.jsonl")
+    # 23 bytes whose header promises 20 billion values: rejected before any
+    # score array is allocated
+    path = corpus / "utt0001.grap.lat"
+    path.write_text("1 20000000000 norm\n0.0\n")
+    assert path.stat().st_size == 23
+    code, broken = run("broken.jsonl")
+    assert code == 1
+    [record] = [json.loads(line) for utt_id, line in broken if utt_id == "utt0001"]
+    assert record.pop("error") == (f"{path}: header '1 20000000000 norm' needs 20000000000 values, "
+                                   f"more than its rows can hold")
+    assert record == ({"id": "utt0001", "mode": argv[2]} if argv[0] == "decode" else {"id": "utt0001"})
+    # every other utterance's record is the clean run's, byte for byte
+    assert [item for item in broken if item[0] not in ("utt0001", None)] == \
+        [item for item in clean if item[0] not in ("utt0001", None)]
+
+
+@pytest.mark.parametrize("argv", [["decode", "--mode", "greedy"], ["loss"]], ids=["decode", "loss"])
+def test_corpus_without_utterances_is_a_config_error(corpus, tmp_path, capsys, argv):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for name in ("syllable.vocab", "grapheme.vocab"):
+        (empty / name).write_bytes((corpus / name).read_bytes())
+    out = tmp_path / "out.jsonl"
+    assert main([argv[0], "--corpus", str(empty), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no utterances found in {empty}\n"
+    assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["--mode", "joint", "--beam", "10", "--top-k", "3"],
     ["--mode", "beam", "--level", "grapheme", "--beam", "10", "--top-k", "3"],
 ], ids=["joint", "beam"])

@@ -1,3 +1,4 @@
+import itertools
 import unicodedata
 
 import numpy as np
@@ -15,6 +16,74 @@ def nfd_oracle(ch: str) -> list[str]:
         suffix = unicodedata.name(part).split(" ", 2)[2]
         out.append(unicodedata.lookup("HANGUL LETTER " + suffix))
     return out
+
+
+def reference_compose(items):
+    """Composition as a left-to-right state machine: a consonant waits for
+    its vowel, and an open (initial, vowel) block waits for its final.  It
+    raises at the first item it cannot place, and the block grammar of
+    :func:`hangul.compose_jamo` must agree with it on text and position."""
+
+    def block(initial, medial, final=""):
+        code = (hangul.INITIALS.index(initial) * 21 + hangul.MEDIALS.index(medial)) * 28
+        return chr(hangul.SYLLABLE_BASE + code + hangul.FINALS.index(final))
+
+    out = []
+    pending = None  # consonant waiting for its vowel
+    pending_pos = -1
+    open_block = None  # open (initial, medial)
+
+    n = len(items)
+    for i, item in enumerate(items):
+        if item in hangul.VOWELS:
+            if pending is not None:
+                if pending not in hangul.INITIALS:
+                    raise NonComposable(pending_pos)
+                open_block = (pending, item)
+                pending = None
+            else:
+                # either a leading vowel or a vowel after a finished block
+                raise NonComposable(i)
+        elif item in hangul.CONSONANTS:
+            if pending is not None:
+                raise NonComposable(pending_pos)
+            if open_block is not None:
+                next_is_vowel = i + 1 < n and items[i + 1] in hangul.VOWELS
+                if next_is_vowel:
+                    out.append(block(*open_block))
+                    open_block = None
+                    if item not in hangul.INITIALS:
+                        raise NonComposable(i)
+                    pending, pending_pos = item, i
+                else:
+                    if item not in hangul.FINALS:
+                        raise NonComposable(i)
+                    out.append(block(*open_block, item))
+                    open_block = None
+            else:
+                pending, pending_pos = item, i
+        else:
+            # word boundary or passthrough: closes any open block
+            if pending is not None:
+                raise NonComposable(pending_pos)
+            if open_block is not None:
+                out.append(block(*open_block))
+                open_block = None
+            out.append(item)
+
+    if pending is not None:
+        raise NonComposable(pending_pos)
+    if open_block is not None:
+        out.append(block(*open_block))
+    return "".join(out)
+
+
+def outcome(compose, items):
+    """The text ``compose`` returns, or the position it raises at."""
+    try:
+        return compose(items)
+    except NonComposable as exc:
+        return exc.position
 
 
 def test_decompose_known_syllables():
@@ -74,6 +143,20 @@ def test_compose_rejects_unplaceable_jamo(items, position):
     with pytest.raises(NonComposable) as info:
         hangul.compose_jamo(items)
     assert info.value.position == position
+
+
+def test_compose_equals_reference_on_every_short_sequence():
+    # one item of each class: a consonant that can be initial or final,
+    # initial-only, final-only, two vowels, a boundary and a passthrough
+    alphabet = ["ㄱ", "ㄸ", "ㄳ", "ㅏ", "ㅗ", " ", "A"]
+    checked = 0
+    for length in range(7):
+        for items in itertools.product(alphabet, repeat=length):
+            assert outcome(hangul.compose_jamo, items) == outcome(reference_compose, items), items
+            checked += 1
+    assert checked == 137_257
+    for code in range(hangul.SYLLABLE_BASE, hangul.SYLLABLE_LAST + 1):
+        assert reference_compose(hangul.decompose_syllable(chr(code))) == chr(code)
 
 
 def test_decompose_text():

@@ -1,4 +1,7 @@
 import math
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +51,8 @@ def test_vocab_errors(tmp_path):
     with pytest.raises(DuplicateToken) as info:
         Vocabulary.load(write_vocab(tmp_path, ["<ctc_blank>", "|", "가", "가"]))
     assert info.value.line == 4
+    with pytest.raises(HanjointError, match="empty token at line 3"):
+        Vocabulary.load(write_vocab(tmp_path, ["<ctc_blank>", "|", "", "가"]))
 
 
 def test_vocab_save_round_trip(tmp_path):
@@ -141,6 +146,11 @@ def test_binary_errors(tmp_path):
     with pytest.raises(BadMagic):
         load_lattice(flagged)
 
+    version = tmp_path / "v2.lat"
+    version.write_bytes(data[:4] + b"\x02" + data[5:])
+    with pytest.raises(BadMagic, match="v2.lat: unsupported version 2"):
+        load_lattice(version)
+
     # without the magic and not UTF-8 either: not read as a text lattice
     unknown = tmp_path / "ctcx.lat"
     unknown.write_bytes(b"CTCX" + data[4:14] + np.full(6, -1.5, dtype="<f4").tobytes())
@@ -199,6 +209,100 @@ def test_text_dimension_errors(tmp_path):
     path.write_text("1 2 raw\n0 x\n")
     with pytest.raises(DimensionMismatch):
         load_lattice(path)
+
+
+@pytest.mark.parametrize(
+    "content,error,message",
+    [
+        ("", TruncatedFile, "empty file"),
+        ("2\n0 0\n", DimensionMismatch, "header must be 'F V \\[norm\\|raw\\]'"),
+        ("1 2 raw x\n0 0\n", DimensionMismatch, "header must be"),
+        ("1 two raw\n0 0\n", DimensionMismatch, "bad header '1 two raw'"),
+        ("1.0 2\n0 0\n", DimensionMismatch, "bad header"),
+        ("1 -2\n0 0\n", DimensionMismatch, "negative dimension"),
+        ("1 2 logits\n0 0\n", DimensionMismatch, "unknown mode 'logits'"),
+        ("1 2 raw\n0 0\n0 0\n", DimensionMismatch, "expected 1 rows, found 2"),
+        ("1 20000000000 norm\n0.0\n", DimensionMismatch, "header '1 20000000000 norm' needs 20000000000 values"),
+    ],
+)
+def test_text_header_errors_name_the_file(tmp_path, content, error, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(error, match=re.escape(str(path)) + ": " + message):
+        load_lattice(path)
+
+
+def test_scores_must_be_2d():
+    with pytest.raises(DimensionMismatch, match="must be 2-D"):
+        EmissionLattice(np.zeros(3))
+
+
+def test_normalized_file_whose_rows_do_not_sum_to_one_names_the_file(tmp_path):
+    path = tmp_path / "unnormalized.txt"
+    path.write_text("2 2 norm\n-0.6931471805599453 -0.6931471805599453\n0 0\n")
+    with pytest.raises(HanjointError, match=re.escape(str(path)) + ": row 1 marked normalized"):
+        load_lattice(path)
+
+
+def _mutations(rng, binary: bytes, text: bytes):
+    """Damaged copies of a valid CTCL file and a valid text file holding
+    the same F x V lattice."""
+    frames, vocab = struct.unpack_from("<II", binary, 6)
+    header, _, body = text.partition(b"\n")
+    rows = body.splitlines(keepends=True)
+    for data in (binary, text):
+        yield data
+        for cut in (0, 1, 5, 13, 14, len(data) - 1, *rng.integers(0, len(data), 6)):
+            yield data[:cut]
+        for _ in range(6):  # a flipped header byte
+            pos = int(rng.integers(0, 14 if data is binary else len(header)))
+            yield data[:pos] + bytes([data[pos] ^ int(rng.integers(1, 256))]) + data[pos + 1:]
+        for _ in range(3):  # bytes that are not UTF-8
+            pos = int(rng.integers(0, len(data) + 1))
+            yield data[:pos] + b"\xff\xc3" + data[pos:]
+    for f, v in ((0, vocab), (frames, 0), (1, vocab), (frames, 1), (2**32 - 1, vocab), (frames, 2**32 - 1),
+                 (2**32 - 1, 2**32 - 1), (0, 0), (1, 1)):
+        yield binary[:6] + struct.pack("<II", f, v) + binary[14:]
+        yield f"{f} {v} norm\n".encode() + body
+    # extra and missing rows
+    yield binary + binary[14:14 + 4 * vocab]
+    yield binary[:-4 * vocab]
+    yield text + rows[0]
+    yield header + b"\n" + b"".join(rows[1:])
+    yield header + b"\n" + b"".join(rows[:-1]) + b"\n"
+    for value in (np.nan, np.inf, -np.inf):
+        pos = 14 + 4 * int(rng.integers(0, frames * vocab))
+        yield binary[:pos] + np.float32(value).tobytes() + binary[pos + 4:]
+    for token in (b"nan", b"inf", b"-inf", b"NaN", b"1e999"):
+        row = int(rng.integers(0, frames))
+        values = rows[row].split()
+        values[int(rng.integers(0, vocab))] = token
+        yield header + b"\n" + b"".join(rows[:row]) + b" ".join(values) + b"\n" + b"".join(rows[row + 1:])
+
+
+def test_damaged_lattice_files_fail_cleanly_and_small(tmp_path):
+    rng = np.random.default_rng(83)
+    lattice = normalize(EmissionLattice(rng.normal(size=(16, 12))))
+    for fmt in ("binary", "text"):
+        save_lattice(lattice, tmp_path / fmt, fmt)
+    binary, text = (tmp_path / "binary").read_bytes(), (tmp_path / "text").read_bytes()
+    path = tmp_path / "damaged.lat"
+    loads = 0
+    for data in _mutations(rng, binary, text):
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            load_lattice(path)
+        except (HanjointError, OSError):
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # no header makes the reader allocate beyond what the file holds:
+        # a valid CTCL file peaks near 6.5 times its size
+        assert peak <= 8 * len(data) + 32768, (data[:40], peak)
+        loads += 1
+    assert loads > 50
 
 
 def test_normalize():

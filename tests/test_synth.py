@@ -46,6 +46,14 @@ def test_brute_force_best_single_frame():
     assert brute_force_best(lattice, vocab) == ("", pytest.approx(math.log(0.6)))
 
 
+def test_brute_force_on_zero_frames():
+    # the one path of a zero-frame lattice is empty and certain
+    lattice = EmissionLattice(np.zeros((0, 4)), normalized=True)
+    assert brute_force_ctc(lattice, []) == 0.0
+    assert brute_force_ctc(lattice, [2]) == -math.inf
+    assert brute_force_best(lattice, VOCAB) == ("", 0.0)
+
+
 def test_gen_lattice_recovers_text():
     lattice = gen_lattice("가 나", VOCAB, "syllable", SynthSpec(frames_per_token=3, blank_gap=1))
     assert lattice.normalized
