@@ -37,8 +37,9 @@ from .lattice_io import (
     normalize,
     save_lattice,
     text_to_tokens,
+    unit_inventory,
 )
-from .metrics import EditSummary, EvalReport, cer, levenshtein, space_normalize, swer, wer
+from .metrics import EditSummary, EvalReport, cer, levenshtein, recovered_units, space_normalize, swer, wer
 from .synth import SynthSpec, brute_force_best, brute_force_ctc, gen_lattice, gen_oov_corpus
 
 __version__ = "0.1.0"
@@ -86,12 +87,14 @@ __all__ = [
     "normalize",
     "prefix_beam_search",
     "prefix_beam_search_batch",
+    "recovered_units",
     "rescore_candidate",
     "save_lattice",
     "space_normalize",
     "swer",
     "text_to_tokens",
     "tokens_to_text",
+    "unit_inventory",
     "wer",
     "__version__",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -44,10 +45,12 @@ from .lattice_io import (
     Vocabulary,
     load_lattice,
     normalize,
+    read_text,
     require_vocab_size,
     save_lattice,
+    unit_inventory,
 )
-from .metrics import EvalReport, UtteranceEval, levenshtein
+from .metrics import EvalReport, UtteranceEval, recovered_units
 from .synth import SynthSpec, gen_oov_corpus
 
 SYLLABLE_POOL = "가나다라마바사아자차카타파하간존물꿈별빛손길말글강산바람닭흙밝값몫앉"
@@ -78,8 +81,10 @@ def _dump(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def _emit(lines: list[str], out: str | None, manifest: RunManifest) -> None:
-    text = "".join(line + "\n" for line in lines)
+def _finish(records: list[dict], out: str | None, manifest: RunManifest) -> int:
+    """Write a run's records to ``out`` with its manifest, or to stdout;
+    exit code 1 when any utterance record is an error, else 0."""
+    text = "".join(_dump(r) + "\n" for r in records)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -87,12 +92,6 @@ def _emit(lines: list[str], out: str | None, manifest: RunManifest) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         manifest.write(path)
-
-
-def _finish(records: list[dict], out: str | None, manifest: RunManifest) -> int:
-    """Write a run's records and manifest; exit code 1 when any utterance
-    record is an error, else 0."""
-    _emit([_dump(r) for r in records], out, manifest)
     failed = sum("error" in r for r in records)
     if failed:
         print(f"{failed}/{sum('id' in r for r in records)} utterances failed", file=sys.stderr)
@@ -102,7 +101,7 @@ def _finish(records: list[dict], out: str | None, manifest: RunManifest) -> int:
 
 def _read_refs(path: Path) -> dict[str, str]:
     refs: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if not line:
             continue
         utt_id, _, text = line.partition("\t")
@@ -118,10 +117,10 @@ def _read_hyps(path: Path, refs: dict[str, str]) -> tuple[dict[str, str], dict[s
     and the decode mode: that of the first JSON record without an error,
     as ``mode:level`` when the record has a level (failed records carry
     none).  A line that starts with ``{`` but is not JSON, or a first
-    hypothesis without ``text``, raises an error naming the file and line;
-    a reference without a record, or a record without a reference, raises
-    :class:`UnmatchedId`."""
-    text = path.read_text(encoding="utf-8")
+    hypothesis whose ``text`` is missing or not a string, raises an error
+    naming the file and line; a reference without a record, or a record
+    without a reference, raises :class:`UnmatchedId`."""
+    text = read_text(path)
     hyps: dict[str, str] = {}
     failed: dict[str, str] = {}
     mode: str | None = None
@@ -146,9 +145,12 @@ def _read_hyps(path: Path, refs: dict[str, str]) -> tuple[dict[str, str], dict[s
                 continue
             hypotheses = record.get("hypotheses", [])
             try:
-                hyps[record["id"]] = hypotheses[0]["text"] if hypotheses else ""
+                hyp = hypotheses[0]["text"] if hypotheses else ""
             except (KeyError, TypeError):
-                raise HanjointError(f"{path}, line {number}: the first hypothesis has no text") from None
+                hyp = None
+            if not isinstance(hyp, str):
+                raise HanjointError(f"{path}, line {number}: the first hypothesis has no text")
+            hyps[record["id"]] = hyp
         else:
             utt_id, _, hyp = line.partition("\t")
             hyps[utt_id] = hyp
@@ -425,39 +427,32 @@ def _constructible(unit: str, graphemes) -> bool:
 
 
 def _read_corpus_texts(path: str) -> list[str]:
-    return [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    return [ln for ln in read_text(path).splitlines() if ln]
 
 
 def cmd_vocab_stats(args) -> int:
     train = _read_corpus_texts(args.train)
-    eval_sets = {Path(p).name: _read_corpus_texts(p) for p in args.eval}
-    levels = ("syllable", "grapheme") if args.level == "both" else (args.level,)
+    eval_sets: dict[str, list[str]] = {}
+    for path in args.eval:
+        name = Path(path).name
+        if name in eval_sets:  # the name keys the OOV columns
+            raise HanjointError(f"--eval {path}: another --eval file is already named {name}")
+        eval_sets[name] = _read_corpus_texts(path)
+    levels = _LEVELS if args.level == "both" else (args.level,)
 
-    train_syll = set(hangul.syllable_inventory(train))
-    train_grap = set(hangul.grapheme_inventory(train))
+    train_units = {level: set(unit_inventory(train, level)) for level in _LEVELS}
     records = []
     for level in levels:
-        train_units = train_syll if level == "syllable" else train_grap
-        row = {"unit": level, "vocab_size": len(train_units), "oov": {}}
+        row = {"unit": level, "vocab_size": len(train_units[level]), "oov": {}}
         for name, texts in eval_sets.items():
-            inventory = (
-                hangul.syllable_inventory(texts)
-                if level == "syllable"
-                else hangul.grapheme_inventory(texts)
-            )
-            oov = sorted(u for u in inventory if u not in train_units)
+            oov = [u for u in unit_inventory(texts, level) if u not in train_units[level]]
             entry = {"count": len(oov)}
             if level == "syllable":
-                constructible = sum(_constructible(u, train_grap) for u in oov)
+                constructible = sum(_constructible(u, train_units["grapheme"]) for u in oov)
                 entry["constructible"] = constructible
                 entry["unconstructible"] = len(oov) - constructible
             row["oov"][name] = entry
         records.append(row)
-
-    manifest = RunManifest(
-        "vocab-stats", {"level": args.level}, [args.train, *args.eval], __version__, None
-    )
-    _emit([_dump(r) for r in records], args.out, manifest)
 
     names = list(eval_sets)
     header = f"{'unit':10s} {'#vocab':>8s}" + "".join(f" {('#OOV ' + n)[:18]:>18s}" for n in names)
@@ -466,78 +461,50 @@ def cmd_vocab_stats(args) -> int:
         cells = "".join(f" {row['oov'][n]['count']:>18d}" for n in names)
         table.append(f"{row['unit']:10s} {row['vocab_size']:>8d}{cells}")
     print("\n".join(table), file=sys.stderr)
-    return 0
+
+    manifest = RunManifest(
+        "vocab-stats", {"level": args.level}, [args.train, *args.eval], __version__, None
+    )
+    return _finish(records, args.out, manifest)
 
 
 # ---------------------------------------------------------------------------
 # oov-report
 # ---------------------------------------------------------------------------
 
-def _recovered_positions(reference: str, hypothesis: str, oov_units: set[str]) -> set[int]:
-    """Indices of reference OOV syllables reproduced by the hypothesis,
-    judged by the deterministic character alignment."""
-    ref_chars = [ch for ch in reference if ch != " "]
-    hyp_chars = [ch for ch in hypothesis if ch != " "]
-    _, ops = levenshtein(ref_chars, hyp_chars)
-    return {
-        i for op, i, _ in ops if op == "match" and i is not None and ref_chars[i] in oov_units
-    }
-
-
 def cmd_oov_report(args) -> int:
     refs = _read_refs(Path(args.refs))
     train_vocab = Vocabulary.load(args.train_vocab)
     grap_vocab = Vocabulary.load(args.grapheme_vocab)
 
-    ref_units: dict[str, int] = {}
-    for text in refs.values():
-        for ch in text:
-            if ch != " ":
-                ref_units[ch] = ref_units.get(ch, 0) + 1
-
+    ref_units = unit_inventory(refs.values(), "syllable")
+    counts = Counter("".join(refs.values()))
     oov_all = {u for u in ref_units if u not in train_vocab}
     constructible = {u for u in oov_all if _constructible(u, grap_vocab)}
-    oov_occurrences = sum(ref_units[u] for u in constructible)
 
     recovery = {}
     failed_count = 0
     for decode_path in args.decodes:
         hyps, failed, mode = _read_hyps(Path(decode_path), refs)
-        recovered_types: set[str] = set()
-        recovered_occ = 0
-        failed_ids = []
-        for utt_id, reference in refs.items():
-            if utt_id in failed:
-                failed_ids.append(utt_id)
-                continue
-            ref_chars = [ch for ch in reference if ch != " "]
-            positions = _recovered_positions(reference, hyps[utt_id], constructible)
-            recovered_occ += len(positions)
-            recovered_types.update(ref_chars[i] for i in positions)
+        failed_ids = [utt_id for utt_id in refs if utt_id in failed]
+        recovered = [unit for utt_id, reference in refs.items() if utt_id not in failed
+                     for unit in recovered_units(reference, hyps[utt_id], constructible)]
         key = mode or Path(decode_path).name
         if key in recovery:
             key = f"{key}:{Path(decode_path).name}"
-        recovery[key] = {
-            "vocab": len(recovered_types),
-            "occurrences": recovered_occ,
-        }
+        recovery[key] = {"vocab": len(set(recovered)), "occurrences": len(recovered)}
         if failed_ids:
             recovery[key]["failed"] = failed_ids
             failed_count += len(failed_ids)
 
     record = {
         "total_vocab": len(ref_units),
-        "total_occurrences": sum(ref_units.values()),
+        "total_occurrences": sum(counts[u] for u in ref_units),
         "oov_vocab": len(constructible),
-        "oov_occurrences": oov_occurrences,
+        "oov_occurrences": sum(counts[u] for u in constructible),
         "unconstructible_vocab": len(oov_all) - len(constructible),
         "recovery": recovery,
     }
-    manifest = RunManifest(
-        "oov-report", {}, [args.refs, *args.decodes, args.train_vocab, args.grapheme_vocab],
-        __version__, None,
-    )
-    _emit([_dump(record)], args.out, manifest)
 
     def pct(n, d):
         return f"{n}({100 * n / d:.1f}%)" if d else "0(0.0%)"
@@ -552,10 +519,16 @@ def cmd_oov_report(args) -> int:
         f" {pct(recovery[m]['occurrences'], v['oov_occurrences']):>20s}" for m in modes
     )
     print("\n".join([head, row1, row2]), file=sys.stderr)
+
+    manifest = RunManifest(
+        "oov-report", {}, [args.refs, *args.decodes, args.train_vocab, args.grapheme_vocab],
+        __version__, None,
+    )
+    code = _finish([record], args.out, manifest)
     if failed_count:
         print(f"{failed_count} decode records failed and recovered nothing", file=sys.stderr)
         return 1
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ A consonant after a vowel is that block's final unless a vowel follows it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidSyllable, NonComposable
 
@@ -129,22 +129,3 @@ def try_compose(items: Sequence[str]) -> str | None:
     except NonComposable:
         return None
 
-
-def syllable_inventory(texts: Iterable[str]) -> list[str]:
-    """Distinct syllables and passthrough characters of a corpus, sorted."""
-    units: set[str] = set()
-    for text in texts:
-        for ch in text:
-            if ch != " ":
-                units.add(ch)
-    return sorted(units)
-
-
-def grapheme_inventory(texts: Iterable[str]) -> list[str]:
-    """Distinct jamo and passthrough characters of a corpus, sorted."""
-    units: set[str] = set()
-    for text in texts:
-        for item in decompose_text(text):
-            if item != " ":
-                units.add(item)
-    return sorted(units)

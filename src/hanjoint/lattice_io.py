@@ -2,9 +2,11 @@
 
 A vocabulary is a UTF-8 text file, one token per line, with the CTC blank
 pinned to index 0 and a single ``"|"`` word-delimiter token somewhere in the
-list.  An emission lattice is an F x V matrix of per-frame scores, either
-raw logits or log-probabilities (``normalized=True`` means each row's
-probabilities sum to 1).
+list.  Every text file, vocabularies included, is read by
+:func:`read_text`, so one that is not UTF-8 is a :class:`HanjointError`
+naming it.  An emission lattice is an F x V matrix of per-frame scores,
+either raw logits or log-probabilities (``normalized=True`` means each
+row's probabilities sum to 1).
 
 Lattices ship in two interchangeable formats:
 
@@ -22,9 +24,12 @@ lattice unchanged, so callers apply it unconditionally.  Wherever a
 lattice meets its vocabulary, :func:`require_vocab_size` checks that the
 two have the same width.
 
-Text becomes token ids here (:func:`text_to_tokens`); the way back, token
-ids to text, is :func:`hanjoint.joint.tokens_to_text`.  Token ids that come
-from elsewhere are checked by :func:`check_tokens`.
+Text becomes units here (:func:`text_to_units`) and token ids
+(:func:`text_to_tokens`); the way back, token ids to text, is
+:func:`hanjoint.joint.tokens_to_text`.  :func:`unit_inventory` is the one
+definition of a corpus's units at a level: synthetic vocabularies and the
+OOV accounting are built from it.  Token ids that come from elsewhere are
+checked by :func:`check_tokens`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,6 +64,16 @@ _VERSION = 1
 _FLAG_NORMALIZED = 0x01
 
 ROW_SUM_TOL = 1e-6
+
+
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 text file (a vocabulary, refs, decode output
+    or text corpus); a file that is not UTF-8 is a file-format error naming
+    it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise HanjointError(f"{path}: not UTF-8 text") from None
 
 
 @dataclass(frozen=True)
@@ -101,8 +116,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tuple(lines))
+        return cls(tuple(read_text(path).splitlines()))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
@@ -194,13 +208,12 @@ def _parse_binary(data: bytes, path: str) -> EmissionLattice:
     if flags & ~_FLAG_NORMALIZED:
         raise BadMagic(f"{path}: reserved flag bits set: {flags:#04x}")
     frames, vocab = struct.unpack_from("<II", data, 6)
-    body = data[14:]
-    expected = frames * vocab * 4
-    if len(body) < expected:
-        raise TruncatedFile(f"{path}: need {expected} payload bytes, found {len(body)}")
-    if len(body) > expected:
-        raise DimensionMismatch(f"{path}: {len(body) - expected} trailing bytes")
-    values = np.frombuffer(body, dtype="<f4", count=frames * vocab)
+    expected, found = frames * vocab * 4, len(data) - 14
+    if found < expected:
+        raise TruncatedFile(f"{path}: need {expected} payload bytes, found {found}")
+    if found > expected:
+        raise DimensionMismatch(f"{path}: {found - expected} trailing bytes")
+    values = np.frombuffer(data, dtype="<f4", count=frames * vocab, offset=14)
     scores = values.astype(np.float64).reshape(frames, vocab)
     return _build(scores, bool(flags & _FLAG_NORMALIZED), path)
 
@@ -283,6 +296,12 @@ def text_to_units(text: str, level: str) -> list[str]:
     if level == "grapheme":
         return hangul.decompose_text(text)
     raise ValueError(f"unknown level {level!r}")
+
+
+def unit_inventory(texts: Iterable[str], level: str) -> list[str]:
+    """The distinct units of ``texts`` at a modeling level, sorted, without
+    the word boundary: the content units a vocabulary of that level needs."""
+    return sorted({unit for text in texts for unit in text_to_units(text, level)} - {" "})
 
 
 def text_to_tokens(text: str, vocab: Vocabulary, level: str) -> list[int]:

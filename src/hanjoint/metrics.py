@@ -8,6 +8,10 @@ space-free, and a space is inserted after every hypothesis character whose
 aligned reference character immediately precedes a space.  A hypothesis
 differing only in spacing therefore scores 0.
 
+The OOV recovery rule lives here too: :func:`recovered_units` gives the
+reference characters of a unit set that the hypothesis reproduces, by the
+alignment that :func:`cer` scores.
+
 Corpus rates are micro-averaged (summed edits over summed reference
 lengths), so they can exceed 100% when insertions dominate; they are not
 clamped.
@@ -91,6 +95,15 @@ def cer(reference: str, hypothesis: str) -> EditSummary:
         raise EmptyReference("reference has no characters")
     summary, _ = levenshtein(ref, _char_units(hypothesis))
     return summary
+
+
+def recovered_units(reference: str, hypothesis: str, units) -> list[str]:
+    """The characters of ``reference`` that are in ``units`` and that the
+    hypothesis reproduces, in reference order: those the space-free
+    alignment of :func:`cer` matches.  A unit counts once per occurrence."""
+    ref = _char_units(reference)
+    _, ops = levenshtein(ref, _char_units(hypothesis))
+    return [ref[i] for op, i, _ in ops if op == "match" and ref[i] in units]
 
 
 def wer(reference: str, hypothesis: str) -> EditSummary:

@@ -27,6 +27,7 @@ from .lattice_io import (
     Vocabulary,
     normalize,
     require_normalized,
+    unit_inventory,
 )
 
 ENUMERATION_GUARD = 10**7
@@ -195,9 +196,9 @@ def gen_oov_corpus(
     """
     holdouts = list(dict.fromkeys(holdout_syllables))
     holdout_set = frozenset(holdouts)
-    syll_units = [u for u in hangul.syllable_inventory(base_texts) if u not in holdout_set]
+    syll_units = [u for u in unit_inventory(base_texts, "syllable") if u not in holdout_set]
     train_like = ["".join(ch for ch in t if ch not in holdout_set) for t in base_texts]
-    grap_units = hangul.grapheme_inventory(train_like)
+    grap_units = unit_inventory(train_like, "grapheme")
     grap_cover = set(grap_units)
 
     for syll in holdouts:

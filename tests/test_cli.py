@@ -571,6 +571,56 @@ def test_vocab_stats(tmp_path):
     assert records["grapheme"]["oov"]["eval_in.txt"]["count"] == 0
 
 
+@pytest.mark.parametrize("level", ["syllable", "grapheme"])
+def test_vocab_stats_one_level_is_that_row_of_both(tmp_path, level):
+    train = tmp_path / "train.txt"
+    train.write_text("가 나 하\n나 그 a\n", encoding="utf-8")
+    dev = tmp_path / "dev.txt"
+    dev.write_text("가 흙 굴\nb 나\n", encoding="utf-8")
+    rows = {}
+    for run in ("both", level):
+        out = tmp_path / f"{run}.jsonl"
+        assert main(["vocab-stats", "--train", str(train), "--eval", str(dev), "--eval", str(train),
+                     "--level", run, "--out", str(out)]) == 0
+        rows[run] = read_records(out)
+    assert rows[level] == [r for r in rows["both"] if r["unit"] == level]
+
+
+def test_vocab_stats_eval_files_of_one_name_are_a_config_error(tmp_path, capsys):
+    train = tmp_path / "train.txt"
+    train.write_text("가 나\n", encoding="utf-8")
+    dev, test = tmp_path / "dev" / "text.txt", tmp_path / "test" / "text.txt"
+    for path, text in ((dev, "가 흙\n"), (test, "가 나\n")):
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "stats.jsonl"
+    # one column per name: the second file would hide the first one's OOV
+    assert main(["vocab-stats", "--train", str(train), "--eval", str(dev), "--eval", str(test),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(test) in err
+    assert not out.exists() and not (tmp_path / "stats.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", ["syllable.vocab", "refs.tsv", "hyps", "train"])
+def test_text_input_that_is_not_utf8_is_a_file_error(corpus, tmp_path, capsys, name):
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes((corpus / "refs.tsv").read_bytes())
+    argv = {
+        "syllable.vocab": ["decode", "--corpus", str(corpus)],
+        "refs.tsv": ["decode", "--corpus", str(corpus)],
+        "hyps": ["eval", "--refs", str(corpus / "refs.tsv"), "--hyps", str(copy)],
+        "train": ["vocab-stats", "--train", str(copy), "--eval", str(tmp_path / "texts.txt")],
+    }[name]
+    bad = copy if name in ("hyps", "train") else corpus / name
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+    assert not out.exists() and not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
 def test_oov_report(corpus, tmp_path):
     joint_out = tmp_path / "joint.jsonl"
     syll_out = tmp_path / "syll.jsonl"
@@ -640,7 +690,11 @@ def test_eval_and_oov_report_reject_a_decode_id_without_a_reference(corpus, tmp_
     ('{"id": "utt0002", "mode": "joint", "hypotheses": [', "not a JSON record: "),
     ('{"id": "utt0002", "mode": "joint", "hypotheses": [{"joint_score": 0.0}]}',
      "the first hypothesis has no text\n"),
-], ids=["not-json", "no-text"])
+    ('{"id": "utt0002", "mode": "joint", "hypotheses": [{"text": null}]}',
+     "the first hypothesis has no text\n"),
+    ('{"id": "utt0002", "mode": "joint", "hypotheses": [{"text": 5}]}',
+     "the first hypothesis has no text\n"),
+], ids=["not-json", "no-text", "null-text", "number-text"])
 def test_malformed_decode_file_is_a_file_error(corpus, tmp_path, capsys, bad, message):
     decoded = tmp_path / "dec.jsonl"
     assert main(["decode", "--corpus", str(corpus), "--mode", "joint", "--beam", "5",

@@ -26,6 +26,7 @@ from hanjoint.lattice_io import (
     normalize,
     save_lattice,
     text_to_tokens,
+    unit_inventory,
 )
 
 
@@ -53,6 +54,13 @@ def test_vocab_errors(tmp_path):
     assert info.value.line == 4
     with pytest.raises(HanjointError, match="empty token at line 3"):
         Vocabulary.load(write_vocab(tmp_path, ["<ctc_blank>", "|", "", "가"]))
+
+
+def test_vocab_that_is_not_utf8_is_a_file_error_naming_it(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"\xff<ctc_blank>\n|\n")
+    with pytest.raises(HanjointError, match=re.escape(f"{path}: not UTF-8 text")):
+        Vocabulary.load(path)
 
 
 def test_vocab_save_round_trip(tmp_path):
@@ -299,10 +307,26 @@ def test_damaged_lattice_files_fail_cleanly_and_small(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         # no header makes the reader allocate beyond what the file holds:
-        # a valid CTCL file peaks near 6.5 times its size
+        # a valid CTCL file peaks near 5.5 times its size
         assert peak <= 8 * len(data) + 32768, (data[:40], peak)
         loads += 1
     assert loads > 50
+
+
+def test_ctcl_load_does_not_copy_its_payload(tmp_path):
+    # the file's bytes, the float64 scores and the row-sum check's temporary
+    # (5.4 x the file here); a copy of the payload would make it 6.4 x
+    lattice = normalize(EmissionLattice(np.random.default_rng(5).normal(size=(40, 30))))
+    path = tmp_path / "x.lat"
+    save_lattice(lattice, path)
+    load_lattice(path)  # first-call allocations are not the reader's
+    tracemalloc.start()
+    try:
+        load_lattice(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * path.stat().st_size
 
 
 def test_normalize():
@@ -331,6 +355,14 @@ def test_text_to_tokens():
     with pytest.raises(OutOfVocabulary) as info:
         text_to_tokens("다", VOCAB, "syllable")
     assert (info.value.unit, info.value.position) == ("다", 0)
+
+
+def test_unit_inventory_at_both_levels():
+    # spaces are no unit; a passthrough character is one at both levels
+    texts = ["각 a", "가가  나", ""]
+    assert unit_inventory(texts, "syllable") == ["a", "가", "각", "나"]
+    assert unit_inventory(texts, "grapheme") == ["a", "ㄱ", "ㄴ", "ㅏ"]
+    assert unit_inventory([], "grapheme") == []
 
 
 def test_grapheme_tokens_via_decomposition():

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from hanjoint.errors import EmptyReference
-from hanjoint.metrics import EditSummary, EvalReport, cer, levenshtein, space_normalize, swer, wer
+from hanjoint.metrics import (
+    EditSummary,
+    EvalReport,
+    cer,
+    levenshtein,
+    recovered_units,
+    space_normalize,
+    swer,
+    wer,
+)
 
 
 def test_levenshtein_basics():
@@ -46,6 +55,20 @@ def test_cer_examples():
 def test_cer_ignores_spacing():
     assert cer("가나 다", "가 나다").edits == 0
     assert cer("가나 다", "가나다").edits == 0
+
+
+def test_recovered_units():
+    held = {"흙", "밝"}
+    # every occurrence counts, in reference order, and only units of the set
+    assert recovered_units("흙 가 밝 흙", "흙 가 밝 흙", held) == ["흙", "밝", "흙"]
+    # spaces do not take part in the alignment
+    assert recovered_units("가흙 나밝", "가 흙나 밝", held) == ["흙", "밝"]
+    # a substituted occurrence is not recovered; the others still are
+    assert recovered_units("흙 가 흙", "흑 가 흙", held) == ["흙"]
+    assert recovered_units("흙 가", "", held) == []
+    # the alignment is cer's: one hypothesis 흙 reproduces one of two
+    assert recovered_units("흙흙", "흙", held) == ["흙"]
+    assert cer("흙흙", "흙").deletions == 1
 
 
 def test_wer_examples():

@@ -5,9 +5,9 @@ import pytest
 
 from hanjoint.ctc import greedy_decode
 from hanjoint.errors import OutOfVocabulary, TooLarge, UncoverableHoldout
-from hanjoint.hangul import decompose_text, grapheme_inventory, syllable_inventory
+from hanjoint.hangul import decompose_text
 from hanjoint.joint import tokens_to_text
-from hanjoint.lattice_io import EmissionLattice, Vocabulary
+from hanjoint.lattice_io import EmissionLattice, Vocabulary, unit_inventory
 from hanjoint.synth import (
     SynthSpec,
     brute_force_best,
@@ -104,8 +104,8 @@ TIMELINE_HOLDOUTS = frozenset({"흙"})
 
 
 def _timeline_vocabs():
-    syll = [u for u in syllable_inventory(TIMELINE_TEXTS) if u not in TIMELINE_HOLDOUTS]
-    return Vocabulary.from_units(syll), Vocabulary.from_units(grapheme_inventory(TIMELINE_TEXTS))
+    syll = [u for u in unit_inventory(TIMELINE_TEXTS, "syllable") if u not in TIMELINE_HOLDOUTS]
+    return Vocabulary.from_units(syll), Vocabulary.from_units(unit_inventory(TIMELINE_TEXTS, "grapheme"))
 
 
 def _runs(tokens: np.ndarray) -> list[tuple[int, int, int]]:
